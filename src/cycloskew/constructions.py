@@ -43,6 +43,7 @@ from .errors import (
     NoRepresentation,
     NotApplicable,
     NotDisjoint,
+    NotPrimePower,
     PredictionMismatch,
     ProfileNotTwoValued,
 )
@@ -817,7 +818,7 @@ def prime_powers(lo: int, hi: int):
     for q in range(max(2, lo), hi + 1):
         try:
             p, m = prime_power_decompose(q)
-        except Exception:
+        except NotPrimePower:
             continue
         yield q, p, m
 

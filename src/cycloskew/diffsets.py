@@ -1,9 +1,12 @@
 """Difference multisets and the certification layer.
 
 A difference multiset is a length-q integer count vector indexed by
-element code.  Every classifier below recomputes counts from scratch by
-direct pair enumeration (vectorized and chunked, but exact); nothing is
-inferred from formulas, so a certificate is an independent witness.
+element code.  Every classifier below recomputes counts from scratch
+with one exact kernel, an FFT correlation of indicator vectors over the
+additive group (Z_p)^m rounded to integers and guarded; inputs of at
+most q pairs, and any result that fails its guard, are counted pair by
+pair.  Nothing is inferred from formulas, so a certificate is an
+independent witness.
 
 Certificate kinds: PDS, SkewPDS, TrivialSkewPDS, ADS, DDF, EDF, DPDF,
 EPDF, RelativeDPDF, RelativeEPDF, or None on failure.  All counts are
@@ -13,15 +16,15 @@ exact integers; there are no tolerances anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import isqrt
+from math import expm1, isqrt, log1p, log2, sqrt
 
 import numpy as np
+from numpy.fft import irfftn, rfftn
 
 from .errors import ContainsZero, DuplicateElement, IndexOutOfRange, NotDisjoint
 from .field import Field, FieldSpec
 
-_CHUNK = 1 << 23  # elements per difference chunk
-_FOLD_LIMIT = 1 << 27  # max folded bincount size
+_CHUNK = 1 << 20  # ordered pairs per pair-count chunk
 
 
 def as_element_set(field: Field, codes) -> np.ndarray:
@@ -31,56 +34,73 @@ def as_element_set(field: Field, codes) -> np.ndarray:
         return arr
     if arr[0] < 0 or arr[-1] >= field.q:
         raise IndexOutOfRange(f"element code out of range [0, {field.q})")
-    if len(np.unique(arr)) != len(arr):
+    if (arr[1:] == arr[:-1]).any():
         raise DuplicateElement("set contains a repeated element")
     return arr
 
 
-def _diff_counts_folded(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    # radix-2p trick: one bincount per chunk, digit folding at the end
-    p, m, q = field.p, field.m, field.q
-    radix = 2 * p
-    xd = [d.astype(np.int32) for d in field.digits(X)]
-    yd = [d.astype(np.int32) for d in field.digits(Y)]
-    weights = [radix**i for i in range(m)]
-    offset = np.int32(sum(p * w for w in weights))
-    total = np.zeros(radix**m, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, len(Y)))
-    for lo in range(0, len(X), step):
-        idx = xd[0][lo : lo + step, None] - yd[0][None, :]
-        idx += offset
-        for i in range(1, m):
-            idx += (xd[i][lo : lo + step, None] - yd[i][None, :]) * np.int32(weights[i])
-        total += np.bincount(idx.ravel(), minlength=radix**m)
-    # fold each radix-2p digit back to base p
-    shape = (radix,) * m
-    arr = total.reshape(shape)
-    for axis in range(m):
-        lo = arr.take(range(0, p), axis=axis)
-        hi = arr.take(range(p, 2 * p), axis=axis)
-        arr = lo + hi
-    # axis order: digit m-1 varies slowest in the reshape, which matches the
-    # base-p code layout, so a plain ravel restores code indexing
-    out = arr.reshape(q)
-    return out
-
-
-def _diff_counts_mod(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _pair_counts(field: Field, blocks) -> np.ndarray:
+    """Counts of x - y summed over the (X, Y) blocks, in chunks of about
+    _CHUNK pairs.  X and Y are 2-D with as many rows; row i pairs each
+    element of X[i] with each element of Y[i]."""
     counts = np.zeros(field.q, dtype=np.int64)
-    step = max(1, _CHUNK // max(1, len(Y)))
-    for lo in range(0, len(X), step):
-        d = field.sub_codes(X[lo : lo + step, None], Y[None, :])
-        counts += np.bincount(d.ravel(), minlength=field.q)
+    for X, Y in blocks:
+        step = max(1, _CHUNK // max(1, X.shape[1] * Y.shape[1]))
+        for lo in range(0, len(X), step):
+            x = np.repeat(X[lo : lo + step], Y.shape[1], axis=1).ravel()
+            y = np.tile(Y[lo : lo + step], (1, X.shape[1])).ravel()
+            counts += np.bincount(field.sub_codes(x, y), minlength=field.q)
+    return counts
+
+
+def _fft_error_bound(q: int, nx: int, ny: int) -> float:
+    """Max-norm error bound of the float64 FFT correlation of two 0/1
+    vectors of length q with nx and ny ones: Percival, Math. Comp. 72
+    (2003), Thm 5.1, |x| |y| ((1+e)^3n (1+e sqrt5)^(3n+1) (1+b)^3n - 1) for
+    length 2^n, e the unit roundoff, b the twiddle error.  The theorem is
+    for radix 2; n = 3 log2(4q) over-counts pocketfft's mixed-radix stages
+    and its Bluestein passes (three inner transforms below 4p per axis)."""
+    e = b = 2.0**-53
+    n = 3 * log2(4 * q)
+    return sqrt(nx * ny) * expm1(3 * n * (log1p(e) + log1p(b)) + (3 * n + 1) * log1p(e * sqrt(5)))
+
+
+def _transform_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray | None:
+    """Delta(X, Y) with zero hits as irfftn(rfftn(1_X) * conj(rfftn(1_Y)))
+    rounded, or None when it cannot be trusted.  Codes put digit m-1 on
+    axis 0, so the C-order reshape to (p,)*m is the grid of (Z_p)^m."""
+    q, shape, axes = field.q, (field.p,) * field.m, tuple(range(field.m))
+    if _fft_error_bound(q, len(X), len(Y)) >= 0.25:
+        return None
+
+    def spectrum(S):
+        ind = np.zeros(q)
+        ind[S] = 1.0
+        return rfftn(ind.reshape(shape), axes=axes)
+
+    fx = spectrum(X)
+    fx *= np.conj(fx if Y is X else spectrum(Y))
+    raw = irfftn(fx, s=shape, axes=axes).ravel()
+    del fx  # with the in-place steps, keeps the peak near 24 bytes per code
+    rounded = np.rint(raw)
+    raw -= rounded
+    if np.abs(raw, out=raw).max() >= 0.25:
+        return None
+    counts = rounded.astype(np.int64)
+    overlap = len(X) if Y is X else len(np.intersect1d(X, Y, assume_unique=True))
+    if counts.min() < 0 or counts[0] != overlap or counts.sum() != len(X) * len(Y):
+        return None
     return counts
 
 
 def diff_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Counts of x - y over all ordered pairs, including x == y hits at 0."""
-    if len(X) == 0 or len(Y) == 0:
-        return np.zeros(field.q, dtype=np.int64)
-    if (2**field.m) * field.q <= _FOLD_LIMIT:
-        return _diff_counts_folded(field, X, Y)
-    return _diff_counts_mod(field, X, Y)
+    """Counts of x - y over all ordered pairs, including x == y hits at 0.
+    X and Y are sorted arrays of distinct codes."""
+    if len(X) * len(Y) > field.q:
+        counts = _transform_counts(field, X, Y)
+        if counts is not None:
+            return counts
+    return _pair_counts(field, [(X[:, None], np.broadcast_to(Y, (len(X), len(Y))))])
 
 
 def internal_differences(field: Field, D) -> np.ndarray:
@@ -97,65 +117,44 @@ def cross_differences(field: Field, D1, D2) -> np.ndarray:
     return diff_counts(field, as_element_set(field, D1), as_element_set(field, D2))
 
 
-def _validated_family(field: Field, family) -> list[np.ndarray]:
+def _validated_family(field: Field, family) -> tuple[list[np.ndarray], np.ndarray]:
+    """The family's sets and their sorted union."""
     fam = [as_element_set(field, s) for s in family]
     if any(len(s) and s[0] == 0 for s in fam):
         raise ContainsZero("family sets must avoid 0")
-    if fam:
-        allc = np.concatenate(fam)
-        if len(np.unique(allc)) != len(allc):
-            raise NotDisjoint("family sets are not pairwise disjoint")
-    return fam
+    allc = np.concatenate(fam) if fam else np.empty(0, dtype=np.int64)
+    union = np.unique(allc)
+    if len(union) != len(allc):
+        raise NotDisjoint("family sets are not pairwise disjoint")
+    return fam, union
 
 
-_BATCH_SET = 512  # sets at most this big go through one flattened pair list
+def _family_profile(field: Field, fam: list[np.ndarray], union: np.ndarray, mode: str) -> np.ndarray:
+    """Int or Ext of a validated family.  Sets of at most q pairs are
+    stacked by size into one pair count, larger ones get a transform each.
+    Ext is Delta(union) minus the sum of Delta(D_i): the zero hits of the
+    two cancel."""
+    groups: dict[int, list[np.ndarray]] = {}
+    for s in fam:
+        groups.setdefault(len(s), []).append(s)
+    counts = _pair_counts(field, [(np.stack(g),) * 2 for k, g in groups.items() if k * k <= field.q])
+    for s in fam:
+        if len(s) * len(s) > field.q:
+            counts += diff_counts(field, s, s)
+    if mode == "internal":
+        counts[0] = 0
+        return counts
+    return diff_counts(field, union, union) - counts
 
 
 def family_internal(field: Field, family) -> np.ndarray:
     """Int: the sum of the internal difference multisets of the family."""
-    fam = _validated_family(field, family)
-    counts = np.zeros(field.q, dtype=np.int64)
-    xs, ys = [], []
-    for s in fam:
-        if len(s) > _BATCH_SET:
-            counts += diff_counts(field, s, s)
-        elif len(s) >= 2:
-            xs.append(np.repeat(s, len(s)))
-            ys.append(np.tile(s, len(s)))
-    if xs:
-        d = field.sub_codes(np.concatenate(xs), np.concatenate(ys))
-        counts += np.bincount(d, minlength=field.q)
-    counts[0] = 0
-    return counts
+    return _family_profile(field, *_validated_family(field, family), "internal")
 
 
 def family_external(field: Field, family) -> np.ndarray:
-    """Ext: the sum of Delta(D_i, D_j) over ordered pairs i != j, computed
-    as Delta(D_i, S minus D_i) per set."""
-    fam = _validated_family(field, family)
-    counts = np.zeros(field.q, dtype=np.int64)
-    if len(fam) < 2:
-        return counts
-    union = np.sort(np.concatenate(fam))
-    xs, ys = [], []
-    pending = 0
-    for s in fam:
-        rest = np.setdiff1d(union, s, assume_unique=True)
-        if len(s) * len(rest) > _CHUNK:
-            counts += diff_counts(field, s, rest)
-        else:
-            xs.append(np.repeat(s, len(rest)))
-            ys.append(np.tile(rest, len(s)))
-            pending += len(s) * len(rest)
-        if pending > _CHUNK:
-            d = field.sub_codes(np.concatenate(xs), np.concatenate(ys))
-            counts += np.bincount(d, minlength=field.q)
-            xs, ys = [], []
-            pending = 0
-    if xs:
-        d = field.sub_codes(np.concatenate(xs), np.concatenate(ys))
-        counts += np.bincount(d, minlength=field.q)
-    return counts
+    """Ext: the sum of Delta(D_i, D_j) over ordered pairs i != j."""
+    return _family_profile(field, *_validated_family(field, family), "external")
 
 
 # ---- certificates ----
@@ -334,8 +333,8 @@ def check_family(field: Field, family, mode: str, reference=None) -> Certificate
     """
     if mode not in ("internal", "external"):
         raise ValueError(f"unknown family mode {mode!r}")
-    fam = _validated_family(field, family)
-    prof = family_internal(field, fam) if mode == "internal" else family_external(field, fam)
+    fam, union = _validated_family(field, family)
+    prof = _family_profile(field, fam, union, mode)
     q = field.q
     sets_out = [[int(c) for c in s] for s in fam]
     ks = [len(s) for s in fam]
@@ -344,7 +343,6 @@ def check_family(field: Field, family, mode: str, reference=None) -> Certificate
         params["k"] = ks[0]
     else:
         params["ks"] = ks
-    union = np.sort(np.concatenate(fam)) if fam else np.empty(0, dtype=np.int64)
 
     if prof.sum() == 0:
         return _none_cert(field, fam)

@@ -1,3 +1,6 @@
+from functools import cache
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +14,7 @@ from cycloskew import (
     check_skew_pds,
     classes,
     cross_differences,
+    diffsets,
     family_external,
     family_internal,
     internal_differences,
@@ -25,6 +29,24 @@ def naive_internal(field, D):
         for y in D:
             if x != y:
                 counts[field.sub(x, y)] += 1
+    return counts
+
+
+def naive_cross(field, X, Y):
+    """Reference Delta(X, Y): every ordered pair, zero hits included."""
+    X, Y = np.asarray(X, dtype=np.int64), np.asarray(Y, dtype=np.int64)
+    return np.bincount(field.sub_codes(X[:, None], Y[None, :]).ravel(), minlength=field.q)
+
+
+def naive_family(field, family, mode):
+    """Reference Int (i == j, zero hits dropped) or Ext (i != j)."""
+    counts = np.zeros(field.q, dtype=np.int64)
+    for i, Di in enumerate(family):
+        for j, Dj in enumerate(family):
+            if (i == j) == (mode == "internal"):
+                counts += naive_cross(field, Di, Dj)
+    if mode == "internal":
+        counts[0] = 0
     return counts
 
 
@@ -280,3 +302,88 @@ def test_certificate_roundtrip(gf13):
     tampered = Certificate.from_json(cert.to_json())
     tampered.params["lambda"] = 5
     assert not verify_certificate(gf13, tampered)
+
+
+# prime fields (20011 is a large prime length for the transform), p = 2
+# up to m = 14, and odd p with m >= 2
+DIFF_FIELDS = [(13, 1), (97, 1), (20011, 1), (2, 1), (2, 4), (2, 9), (2, 14), (5, 2), (3, 9), (101, 2)]
+
+
+@cache
+def _diff_field(p, m):
+    return build_field(p, m)
+
+
+@st.composite
+def sized_subset(draw, rng, pool, q, large):
+    """A random subset of pool on one side of the |X| |Y| <= q switch
+    (for |X| == |Y|): at most isqrt(q) elements, or more."""
+    q_root = isqrt(q)
+    lo, hi = (q_root + 1, min(len(pool), 3 * q_root + 2)) if large else (0, min(len(pool), q_root))
+    return rng.choice(pool, size=draw(st.integers(min(lo, hi), hi)), replace=False)
+
+
+@pytest.mark.parametrize("p, m", DIFF_FIELDS)
+@given(data=st.data())
+@settings(max_examples=15)
+def test_kernels_match_naive_pair_count(p, m, data):
+    f = _diff_field(p, m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    everything = np.arange(f.q)
+    X = data.draw(sized_subset(rng, everything, f.q, data.draw(st.booleans())))
+    assert np.array_equal(internal_differences(f, X), naive_cross(f, X, X) * (everything != 0))
+
+    # Y shares a drawn number of elements with X
+    Y = data.draw(sized_subset(rng, everything, f.q, data.draw(st.booleans())))
+    shared = data.draw(st.integers(0, min(len(X), len(Y))))
+    Y = np.union1d(X[:shared], Y[: len(Y) - shared])
+    assert np.array_equal(cross_differences(f, X, Y), naive_cross(f, X, Y))
+
+    pool, family = everything[1:], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        family.append(data.draw(sized_subset(rng, pool, f.q, data.draw(st.booleans()))))
+        pool = np.setdiff1d(pool, family[-1], assume_unique=True)
+    for mode, kernel in (("internal", family_internal), ("external", family_external)):
+        assert np.array_equal(kernel(f, family), naive_family(f, family, mode))
+
+
+@pytest.mark.parametrize("trip", ["none", "residual", "sum", "bound"])
+def test_transform_guard_falls_back(monkeypatch, gf361, trip):
+    real_irfftn, real_pair_counts = diffsets.irfftn, diffsets._pair_counts
+
+    def irfftn_off_by(delta):
+        def patched(*args, **kwargs):
+            out = real_irfftn(*args, **kwargs)
+            out.flat[7] += delta
+            return out
+
+        return patched
+
+    if trip == "residual":
+        monkeypatch.setattr(diffsets, "irfftn", irfftn_off_by(0.4))
+    elif trip == "sum":
+        monkeypatch.setattr(diffsets, "irfftn", irfftn_off_by(1.0))
+    elif trip == "bound":
+        monkeypatch.setattr(diffsets, "_fft_error_bound", lambda q, nx, ny: 1.0)
+    fallbacks = []
+
+    # every set below has more than q pairs, so a pair count over more
+    # than q pairs is a fallback
+    def spy(field, blocks):
+        fallbacks.append(sum(X.size * Y.shape[1] for X, Y in blocks) > field.q)
+        return real_pair_counts(field, blocks)
+
+    monkeypatch.setattr(diffsets, "_pair_counts", spy)
+    rng = np.random.default_rng(3)
+    D = rng.choice(np.arange(1, 361), size=120, replace=False)
+    family = [D[:40], D[40:80], D[80:]]
+    cases = [
+        (lambda: internal_differences(gf361, D), naive_family(gf361, [D], "internal")),
+        (lambda: cross_differences(gf361, D[:60], D[30:]), naive_cross(gf361, D[:60], D[30:])),
+        (lambda: family_internal(gf361, family), naive_family(gf361, family, "internal")),
+        (lambda: family_external(gf361, family), naive_family(gf361, family, "external")),
+    ]
+    for count, expect in cases:
+        fallbacks.clear()
+        assert np.array_equal(count(), expect)
+        assert any(fallbacks) == (trip != "none")
