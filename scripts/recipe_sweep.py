@@ -2,7 +2,7 @@
 """Certify every applicable recipe over a prime power range and summarize.
 
 Usage:
-    python scripts/recipe_sweep.py [q_max] [--jobs J] [--out catalog.jsonl]
+    python scripts/recipe_sweep.py [q_max] [--out catalog.jsonl]
 
 Every construction is checked against the difference multiset oracle;
 the exit code is nonzero if any prediction disagrees.
@@ -20,12 +20,11 @@ from cycloskew.cli import construction_entry
 def run() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("q_max", type=int, nargs="?", default=5000)
-    ap.add_argument("--jobs", type=int, default=1)
     ap.add_argument("--out", help="also write a JSON-lines catalog")
     args = ap.parse_args()
 
     t0 = time.time()
-    cons = enumerate_applicable(2, args.q_max, certify_cap=args.q_max, jobs=args.jobs)
+    cons = enumerate_applicable(2, args.q_max, certify_cap=args.q_max)
     dt = time.time() - t0
 
     per_recipe = collections.Counter(c.recipe_id for c in cons)

@@ -5,8 +5,8 @@ Usage:
     python scripts/reproduce_tables.py [--certify-cap N]
 
 Table 1 rows (q < 10^4) are all certified; Table 2 rows (q < 10^8) are
-certified up to the cap (default 10^5, which covers q = 51529 in about
-half a minute) and labeled not-oracle-verified beyond it.
+certified up to the cap (default 10^5, which covers q = 51529 in well
+under a second) and labeled not-oracle-verified beyond it.
 """
 
 import argparse

@@ -9,7 +9,9 @@ Subcommands:
   catalog  re-verify a previously written catalog
 
 Exit code 0 means success everywhere; verification failures and row
-mismatches exit nonzero.  CYCLOSKEW_JOBS overrides --jobs.
+mismatches exit 1, and bad input exits 2 with a typed error.  scan writes
+each entry as soon as its field is done; with --out the catalog appears
+only when the whole scan succeeded.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,27 +28,17 @@ from . import __version__
 from .constructions import (
     Construction,
     apply as apply_recipe,
-    enumerate_applicable,
     get_recipe,
+    iter_applicable,
     registry,
 )
 from .cyclotomy import bruteforce_table, classes, closed_form_table
 from .diffsets import Certificate, check_ads, check_family, check_pds, check_skew_pds, verify_certificate
 from .errors import BoundTooLarge, CycloskewError, ParseError, UnknownMode
 from .field import build_field
-from .numtheory import is_prime_power, two_squares_rep
+from .numtheory import is_prime_power, prime_power_decompose, two_squares_rep
 
 MAX_TABLE_BOUND = 10**8
-
-
-def _jobs_default() -> int:
-    env = os.environ.get("CYCLOSKEW_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 # ---- tables ----
@@ -94,8 +85,6 @@ def table2_rows(bound: int) -> list[dict]:
 
 
 def _certify_row(row: dict) -> str:
-    from .numtheory import prime_power_decompose
-
     p, m = prime_power_decompose(row["q"])
     field = build_field(p, m)
     recipe = get_recipe(row["recipe"])
@@ -113,11 +102,7 @@ def cmd_tables(args) -> int:
         raise BoundTooLarge(f"bound {args.bound} exceeds {MAX_TABLE_BOUND}")
     rows = table1_rows(args.bound) if args.table == 1 else table2_rows(args.bound)
     to_certify = [r for r in rows if r["q"] <= args.certify_cap]
-    statuses = {}
-    if to_certify:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            for row, status in zip(to_certify, pool.map(_certify_row, to_certify)):
-                statuses[row["q"]] = status
+    statuses = {row["q"]: _certify_row(row) for row in to_certify}
     bad = 0
     for row in rows:
         status = statuses.get(row["q"], "not-oracle-verified")
@@ -141,18 +126,22 @@ def construction_entry(con: Construction) -> dict:
 
 def cmd_scan(args) -> int:
     recipe_ids = None if args.recipes == "all" else args.recipes.split(",")
-    cons = enumerate_applicable(
-        args.q_min, args.q_max, recipe_ids, certify_cap=args.certify_cap, jobs=args.jobs
-    )
-    lines = [json.dumps(construction_entry(c)) for c in cons]
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-        print(f"# wrote {len(lines)} entries to {args.out}", file=sys.stderr)
-    else:
-        for line in lines:
-            print(line)
+    cons = iter_applicable(args.q_min, args.q_max, recipe_ids, certify_cap=args.certify_cap)
+    if not args.out:
+        for con in cons:
+            print(json.dumps(construction_entry(con)))
+        return 0
+    tmp, count = args.out + ".tmp", 0
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            for con in cons:
+                fh.write(json.dumps(construction_entry(con)) + "\n")
+                count += 1
+        os.replace(tmp, args.out)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    print(f"# wrote {count} entries to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -166,11 +155,11 @@ def _load_sets(arg: str) -> list[list[int]]:
                 data = json.load(fh)
         else:
             data = json.loads(arg)
-    except (json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise ParseError(f"cannot parse sets: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(s, list) for s in data):
-        raise ParseError("sets must be a JSON array of arrays of element codes")
-    return [[int(c) for c in s] for s in data]
+    if not isinstance(data, list) or not data or not all(isinstance(s, list) for s in data):
+        raise ParseError("sets must be a non-empty JSON array of arrays of element codes")
+    return data
 
 
 def _field_from_args(args):
@@ -192,9 +181,9 @@ def cmd_verify(args) -> int:
             data = json.loads(args.reference)
         except json.JSONDecodeError as exc:
             raise ParseError(f"cannot parse reference: {exc}") from exc
-        if data and isinstance(data[0], list):
-            data = data[0]
-        reference = [int(c) for c in data]
+        if not isinstance(data, list):
+            raise ParseError("reference must be a JSON array of element codes")
+        reference = data[0] if data and isinstance(data[0], list) else data
     mode = args.mode
     if mode == "pds":
         cert = check_pds(field, sets[0])
@@ -245,8 +234,11 @@ def cmd_cycnum(args) -> int:
 
 def cmd_catalog(args) -> int:
     bad = total = 0
-    with open(args.file, "r", encoding="utf-8") as fh:
-        entries = [json.loads(line) for line in fh if line.strip()]
+    try:
+        with open(args.file, "r", encoding="utf-8") as fh:
+            entries = [json.loads(line) for line in fh if line.strip()]
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read catalog {args.file}: {exc}") from exc
     if args.limit:
         entries = entries[: args.limit]
     for entry in entries:
@@ -288,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("table", type=int, choices=(1, 2))
     t.add_argument("bound", type=int)
     t.add_argument("--certify-cap", type=int, default=10**5)
-    t.add_argument("--jobs", type=int, default=_jobs_default())
     t.set_defaults(func=cmd_tables)
 
     s = subs.add_parser("scan", help="sweep recipes over a prime power range")
@@ -296,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("q_max", type=int)
     s.add_argument("--recipes", default="all", help="comma separated recipe ids, or 'all'")
     s.add_argument("--certify-cap", type=int, default=5000)
-    s.add_argument("--jobs", type=int, default=_jobs_default())
     s.add_argument("--out", help="output catalog path (JSON lines); stdout if omitted")
     s.set_defaults(func=cmd_scan)
 

@@ -6,6 +6,13 @@ recipe always re-certifies the built family against the difference
 multiset oracle; a disagreement raises PredictionMismatch and is never
 silently corrected.
 
+Most recipes are rows of data (UnionPlan): sets and reference as unions
+of cyclotomic classes, 0 adjoined for skew complements, and the
+predicted parameters as closed forms in q and the field facts.  One
+builder turns them into plans; a family whose predicted lambda equals
+its mu is predicted as a DDF/EDF.  Only the pair and quadruple families
+of R14, R24 and R25 have builders of their own.
+
 Prechecks are arithmetic-only (q, p, m and the quadratic form
 representations), so ranges can be filtered without building fields.
 Full applicability may also need field facts: the sign of t, the
@@ -20,11 +27,11 @@ be empty are dropped (there is nothing to classify).
 
 from __future__ import annotations
 
+import functools
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import isqrt
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -46,6 +53,7 @@ from .errors import (
     NotPrimePower,
     PredictionMismatch,
     ProfileNotTwoValued,
+    UnknownRecipe,
 )
 from .field import Field, FieldSpec, build_field
 from .numtheory import (
@@ -152,19 +160,9 @@ def _u(part: ClassPartition, *idx: int) -> tuple[int, ...]:
     return tuple(int(c) for c in part.union(*idx))
 
 
-def _with_zero(codes: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sorted((0,) + codes))
-
-
-def _paley(q: int) -> dict:
-    return {"v": q, "k": (q - 1) // 2, "lambda": (q - 5) // 4, "mu": (q - 1) // 4}
-
-
 def _mode_total(mode: str, family: tuple[tuple[int, ...], ...]) -> int:
     ks = [len(s) for s in family]
-    if mode in ("skew",):
-        return ks[0] * (ks[0] - 1)
-    if mode == "internal":
+    if mode != "external":  # a skew family is one set
         return sum(k * (k - 1) for k in ks)
     s = sum(ks)
     return s * s - sum(k * k for k in ks)
@@ -261,119 +259,87 @@ def _has_r25_gamma(field: Field, facts: FieldFacts) -> bool:
 # ---- builders ----
 
 
-def _build_r1(field, facts):
-    p4, p2 = classes(field, 4), classes(field, 2)
-    ref = _u(p2, 0) if facts.t == -2 else _u(p2, 1)
-    return _plan("D", "skew", (_u(p4, 0, 3),), ref, "SkewPDS", _paley(facts.q))
+@dataclass(frozen=True)
+class UnionPlan:
+    """One plan of a class-union recipe.  Each set is the union of the given
+    classes of order e, the reference the union of the classes ref[1:] of
+    order ref[0].  zero adjoins 0 to the set and to the reference (skew
+    complements); by_t takes the other order-2 reference class unless
+    t = -2.  params gives (k, lambda, mu) of a skew PDS, or (lambda, mu) of
+    a family, mu None for a family predicted as a DDF/EDF."""
+
+    label: str
+    mode: str  # "skew" | "internal" | "external"
+    e: int
+    sets: tuple[tuple[int, ...], ...]
+    params: Callable[[FieldFacts], tuple]
+    ref: tuple[int, ...] = (2, 0)
+    zero: bool = False
+    by_t: bool = False
 
 
-def _build_r2(field, facts):
-    p4, p2 = classes(field, 4), classes(field, 2)
-    ref = _u(p2, 1) if facts.t == -2 else _u(p2, 0)
-    return _plan("D", "skew", (_u(p4, 0, 1),), ref, "SkewPDS", _paley(facts.q))
-
-
-def _build_r3(field, facts):
-    p4, p2 = classes(field, 4), classes(field, 2)
-    ref = _u(p2, 0) if facts.t == -2 else _u(p2, 1)
-    return _plan("negative", "skew", (_u(p4, 1, 2),), ref, "SkewPDS", _paley(facts.q))
-
-
-def _build_r4(field, facts):
+def _union_plans(rows: tuple[UnionPlan, ...], note: str, field: Field, facts: FieldFacts) -> list[Plan]:
+    """Plans of a class-union recipe.  A family whose lambda equals its mu,
+    or that has no mu, is predicted as a DDF/EDF with no reference and
+    carries the recipe's note."""
     q = facts.q
-    p4, p2 = classes(field, 4), classes(field, 2)
-    ref = _with_zero(_u(p2, 1) if facts.t == -2 else _u(p2, 0))
-    d = _with_zero(_u(p4, 1, 2))
-    params = {"v": q, "k": (q + 1) // 2, "lambda": (q + 3) // 4, "mu": (q - 1) // 4}
-    return _plan("complement", "skew", (d,), ref, "SkewPDS", params)
-
-
-def _r5_params(q: int, x: int) -> dict:
-    return {"v": q, "k": (q - 1) // 4, "lambda": (q - 11 - 6 * x) // 16, "mu": (q - 3 + 2 * x) // 16}
-
-
-def _build_r5(field, facts):
-    p8, p4 = classes(field, 8), classes(field, 4)
-    return _plan("D", "skew", (_u(p8, 3, 5),), _u(p4, 0), "SkewPDS", _r5_params(facts.q, facts.x))
-
-
-def _build_r6(field, facts):
-    q, x = facts.q, facts.x
-    p8, p4 = classes(field, 8), classes(field, 4)
-    comp = tuple(int(c) for c in np.setdiff1d(np.arange(q), np.asarray(_u(p8, 3, 5))))
-    comp_params = {
-        "v": q,
-        "k": (3 * q + 1) // 4,
-        "lambda": (9 * q + 5 + 2 * x) // 16,
-        "mu": (9 * q - 3 - 6 * x) // 16,
-    }
-    plans = _plan("complement", "skew", (comp,), _with_zero(_u(p4, 1, 2, 3)), "SkewPDS", comp_params)
-    plans += _plan("negative", "skew", (_u(p8, 1, 7),), _u(p4, 0), "SkewPDS", _r5_params(q, x))
+    parts = {e: classes(field, e) for row in rows for e in (row.e, row.ref[0])}
+    plans: list[Plan] = []
+    for row in rows:
+        family = tuple(_u(parts[row.e], *idx) for idx in row.sets)
+        ref_idx = row.ref[1:] if not row.by_t or facts.t == -2 else tuple(1 - i for i in row.ref[1:])
+        ref = _u(parts[row.ref[0]], *ref_idx)
+        if row.zero:
+            family, ref = (tuple(sorted((0,) + family[0])),), tuple(sorted((0,) + ref))
+        if row.mode == "skew":
+            k, lam, mu = row.params(facts)
+            plans += _plan(row.label, "skew", family, ref, "SkewPDS", {"v": q, "k": k, "lambda": lam, "mu": mu})
+            continue
+        lam, mu = row.params(facts)
+        if mu is None or lam == mu:
+            kind = "DDF" if row.mode == "internal" else "EDF"
+            plans += _plan(row.label, row.mode, family, None, kind, _fam_params(q, family, lam, None), note)
+        else:
+            kind = "RelativeDPDF" if row.mode == "internal" else "RelativeEPDF"
+            plans += _plan(row.label, row.mode, family, ref, kind, _fam_params(q, family, lam, mu))
     return plans
 
 
-def _build_r7(field, facts):
-    q = facts.q
-    ell = facts.p ** (facts.m // 2)
-    p8, p4 = classes(field, 8), classes(field, 4)
-    params = {"v": q, "k": (q - 1) // 4, "lambda": (q - 11 + 6 * ell) // 16, "mu": (q - 3 - 2 * ell) // 16}
-    return _plan("D", "skew", (_u(p8, 3, 5),), _u(p4, 0), "SkewPDS", params)
+def _union(*rows: UnionPlan, note: str = "") -> Callable[[Field, FieldFacts], list[Plan]]:
+    return functools.partial(_union_plans, rows, note)
 
 
-def _build_r8(field, facts):
-    p8, p2 = classes(field, 8), classes(field, 2)
-    return _plan("D", "skew", (_u(p8, 0, 1, 2, 5),), _u(p2, 0), "SkewPDS", _paley(facts.q))
+def _paley(f: FieldFacts) -> tuple[int, int, int]:
+    return (f.q - 1) // 2, (f.q - 5) // 4, (f.q - 1) // 4
 
 
-def _build_r9(field, facts):
-    q = facts.q
-    p8, p2 = classes(field, 8), classes(field, 2)
-    comp = _with_zero(_u(p8, 3, 4, 6, 7))
-    comp_params = {"v": q, "k": (q + 1) // 2, "lambda": (q + 3) // 4, "mu": (q - 1) // 4}
-    plans = _plan("complement", "skew", (comp,), _with_zero(_u(p2, 1)), "SkewPDS", comp_params)
-    plans += _plan("negative", "skew", (_u(p8, 1, 4, 5, 6),), _u(p2, 0), "SkewPDS", _paley(q))
-    return plans
+def _paley_complement(f: FieldFacts) -> tuple[int, int, int]:
+    return (f.q + 1) // 2, (f.q + 3) // 4, (f.q - 1) // 4
 
 
-def _build_r10(field, facts):
-    p8, p2 = classes(field, 8), classes(field, 2)
-    return _plan("D", "skew", (_u(p8, 0, 1, 2, 5),), _u(p2, 0), "SkewPDS", _paley(facts.q))
+def _r5(f: FieldFacts) -> tuple[int, int, int]:
+    return (f.q - 1) // 4, (f.q - 11 - 6 * f.x) // 16, (f.q - 3 + 2 * f.x) // 16
 
 
-def _build_r11(field, facts):
-    q, x = facts.q, facts.x
-    p8, p2 = classes(field, 8), classes(field, 2)
-    fam = (_u(p8, 0),)
-    lam = (q - 15 - 2 * x) // 64
-    mu = (q - 3 + 2 * x) // 64
-    if lam == mu:
-        return _plan("D", "internal", fam, None, "DDF", _fam_params(q, fam, lam, None), "degenerate branch")
-    return _plan("D", "internal", fam, _u(p2, 0), "RelativeDPDF", _fam_params(q, fam, lam, mu))
+def _r7(f: FieldFacts) -> tuple[int, int, int]:
+    ell = f.p ** (f.m // 2)
+    return (f.q - 1) // 4, (f.q - 11 + 6 * ell) // 16, (f.q - 3 - 2 * ell) // 16
 
 
-def _build_r12(field, facts):
-    q, x = facts.q, facts.x
-    p8, p2 = classes(field, 8), classes(field, 2)
-    hi = (q - 7 - 2 * x) // 8
-    lo = (q - 3 + 2 * x) // 8
-    ref = _u(p2, 0)
-    d1 = (_u(p8, 3, 5), _u(p8, 2, 6))
-    d2 = (_u(p8, 0, 2), _u(p8, 3, 7))
-    plans = _plan("D1", "internal", d1, ref, "RelativeDPDF", _fam_params(q, d1, hi, lo))
-    plans += _plan("D2", "internal", d2, ref, "RelativeDPDF", _fam_params(q, d2, lo, hi))
-    return plans
+def _r12_hi_lo(f: FieldFacts) -> tuple[int, int]:
+    return (f.q - 7 - 2 * f.x) // 8, (f.q - 3 + 2 * f.x) // 8
 
 
-def _build_r13(field, facts):
-    q, t = facts.q, facts.t
-    p4, p2 = classes(field, 4), classes(field, 2)
-    fam = (_u(p4, 0), _u(p4, 3))
-    plans = _plan("internal", "internal", fam, None, "DDF", _fam_params(q, fam, (q - 5) // 8, None))
-    lam, mu = ((q - 5) // 8, (q + 3) // 8) if t == -2 else ((q + 3) // 8, (q - 5) // 8)
-    plans += _plan(
-        "external", "external", fam, _u(p2, 0), "RelativeEPDF", _fam_params(q, fam, lam, mu)
-    )
-    return plans
+def _r18_lo_hi(f: FieldFacts) -> tuple[int, int]:
+    return (f.q - 5 - 2 * f.y - 2 * f.b) // 8, (f.q - 5 + 2 * f.y + 2 * f.b) // 8
+
+
+def _r19_lo_hi(f: FieldFacts) -> tuple[int, int]:
+    return (f.q - 5 - 2 * f.y) // 8, (f.q - 5 + 2 * f.y) // 8
+
+
+def _swapped(params: Callable[[FieldFacts], tuple[int, int]]) -> Callable[[FieldFacts], tuple[int, int]]:
+    return lambda f: params(f)[::-1]
 
 
 def _build_r14(field, facts):
@@ -395,110 +361,6 @@ def _build_r14(field, facts):
             _fam_params(q, fam, (q - 9) // 4, (q - 1) // 4),
         )
     return plans
-
-
-def _build_r15(field, facts):
-    q, x, a = facts.q, facts.x, facts.a
-    p8, p2 = classes(field, 8), classes(field, 2)
-    fam = (_u(p8, 0), _u(p8, 2))
-    if x + 2 * a == -1:
-        return _plan("D", "internal", fam, None, "DDF", _fam_params(q, fam, (q - 9) // 32, None))
-    lam = (q - 11 - 2 * x - 4 * a) // 32
-    mu = (q - 7 + 2 * x + 4 * a) // 32
-    return _plan("D", "internal", fam, _u(p2, 0), "RelativeDPDF", _fam_params(q, fam, lam, mu))
-
-
-def _build_r16(field, facts):
-    q, x = facts.q, facts.x
-    p8, p2 = classes(field, 8), classes(field, 2)
-    fam = (_u(p8, 0), _u(p8, 1), _u(p8, 4), _u(p8, 6))
-    if x == -3:
-        return _plan(
-            "D", "internal", fam, None, "DDF", _fam_params(q, fam, (q - 9) // 16, None), "degenerate branch"
-        )
-    lam, mu = (q - 12 - x) // 16, (q - 6 + x) // 16
-    return _plan("D", "internal", fam, _u(p2, 0), "RelativeDPDF", _fam_params(q, fam, lam, mu))
-
-
-def _build_r17(field, facts):
-    q, y, b = facts.q, facts.y, facts.b
-    p8, p2 = classes(field, 8), classes(field, 2)
-    fam = (_u(p8, 0, 1), _u(p8, 2, 3))
-    if y == b:
-        return _plan("D", "internal", fam, None, "DDF", _fam_params(q, fam, (q - 5) // 8, None))
-    lam = (q - 5 + 2 * y - 2 * b) // 8
-    mu = (q - 5 - 2 * y + 2 * b) // 8
-    return _plan("D", "internal", fam, _u(p2, 0), "RelativeDPDF", _fam_params(q, fam, lam, mu))
-
-
-def _build_r18(field, facts):
-    q, y, b = facts.q, facts.y, facts.b
-    p8, p2 = classes(field, 8), classes(field, 2)
-    d1 = (_u(p8, 0, 3), _u(p8, 1, 6))
-    d2 = (_u(p8, 0, 5), _u(p8, 2, 7))
-    if y == -b:
-        lam = (q - 5) // 8
-        return _plan("D1", "internal", d1, None, "DDF", _fam_params(q, d1, lam, None)) + _plan(
-            "D2", "internal", d2, None, "DDF", _fam_params(q, d2, lam, None)
-        )
-    lo = (q - 5 - 2 * y - 2 * b) // 8
-    hi = (q - 5 + 2 * y + 2 * b) // 8
-    ref = _u(p2, 0)
-    return _plan("D1", "internal", d1, ref, "RelativeDPDF", _fam_params(q, d1, lo, hi)) + _plan(
-        "D2", "internal", d2, ref, "RelativeDPDF", _fam_params(q, d2, hi, lo)
-    )
-
-
-def _build_r19(field, facts):
-    q, y = facts.q, facts.y
-    p8, p2 = classes(field, 8), classes(field, 2)
-    d1 = (_u(p8, 0, 3), _u(p8, 1, 6))
-    d2 = (_u(p8, 0, 5), _u(p8, 2, 7))
-    lo, hi = (q - 5 - 2 * y) // 8, (q - 5 + 2 * y) // 8
-    ref = _u(p2, 0)
-    return _plan("D1", "internal", d1, ref, "RelativeDPDF", _fam_params(q, d1, lo, hi)) + _plan(
-        "D2", "internal", d2, ref, "RelativeDPDF", _fam_params(q, d2, hi, lo)
-    )
-
-
-def _build_r20(field, facts):
-    q, y = facts.q, facts.y
-    p8, p2 = classes(field, 8), classes(field, 2)
-    d1 = (_u(p8, 0, 1), _u(p8, 2, 7))
-    d2 = (_u(p8, 0, 1), _u(p8, 3, 6))
-    lam, mu = (q - 5 + 2 * y) // 8, (q - 5 - 2 * y) // 8
-    ref = _u(p2, 0)
-    return _plan("D1", "internal", d1, ref, "RelativeDPDF", _fam_params(q, d1, lam, mu)) + _plan(
-        "D2", "internal", d2, ref, "RelativeDPDF", _fam_params(q, d2, lam, mu)
-    )
-
-
-def _build_r21(field, facts):
-    q, x = facts.q, facts.x
-    p8, p2 = classes(field, 8), classes(field, 2)
-    fam = (_u(p8, 0), _u(p8, 4))
-    lam, mu = (q + 1 - 2 * x) // 32, (q - 3 + 2 * x) // 32
-    return _plan("D", "external", fam, _u(p2, 0), "RelativeEPDF", _fam_params(q, fam, lam, mu))
-
-
-def _build_r22(field, facts):
-    q, y = facts.q, facts.y
-    p8, p2 = classes(field, 8), classes(field, 2)
-    fam = (_u(p8, 0), _u(p8, 1), _u(p8, 4), _u(p8, 5))
-    if y == 0:
-        return _plan("D", "external", fam, None, "EDF", _fam_params(q, fam, (3 * q - 3) // 16, None))
-    lam, mu = (3 * q - 3 + 8 * y) // 16, (3 * q - 3 - 8 * y) // 16
-    return _plan("D", "external", fam, _u(p2, 0), "RelativeEPDF", _fam_params(q, fam, lam, mu))
-
-
-def _build_r23(field, facts):
-    q, x = facts.q, facts.x
-    p8, p2 = classes(field, 8), classes(field, 2)
-    fam = (_u(p8, 0), _u(p8, 2, 6))
-    if x == 1:
-        return _plan("D", "external", fam, None, "EDF", _fam_params(q, fam, (q - 1) // 16, None))
-    lam, mu = (q - 3 + 2 * x) // 16, (q + 1 - 2 * x) // 16
-    return _plan("D", "external", fam, _u(p2, 0), "RelativeEPDF", _fam_params(q, fam, lam, mu))
 
 
 def r24_admissible_gammas(field: Field) -> tuple[list[int], list[int]]:
@@ -574,74 +436,111 @@ def _build_r25(field, facts):
 
 
 def _recipes() -> list[Recipe]:
-    R = Recipe
+    R, U = Recipe, UnionPlan
     items = [
         R("R1", "skew C0^4 u C3^4", "SkewPDS", "q = 5 (mod 8), q = s^2 + 4, q > 5",
-          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2, _true, _build_r1),
+          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2, _true,
+          _union(U("D", "skew", 4, ((0, 3),), _paley, by_t=True))),
         R("R2", "skew C0^4 u C1^4", "SkewPDS", "q = 5 (mod 8), q = s^2 + 4, q > 5",
-          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2, _true, _build_r2),
+          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2, _true,
+          _union(U("D", "skew", 4, ((0, 1),), _paley, (2, 1), by_t=True))),
         R("R3", "negative of R1", "SkewPDS", "q = 5 (mod 8), q = s^2 + 4, q > 5",
-          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2, _true, _build_r3),
+          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2, _true,
+          _union(U("negative", "skew", 4, ((1, 2),), _paley, by_t=True))),
         R("R4", "complement of R1 with 0", "SkewPDS", "q = 5 (mod 8), q = s^2 + 4, q > 5",
-          "(q,(q+1)/2,(q+3)/4,(q-1)/4)", _pre_t2, _true, _build_r4),
+          "(q,(q+1)/2,(q+3)/4,(q-1)/4)", _pre_t2, _true,
+          _union(U("complement", "skew", 4, ((1, 2),), _paley_complement, (2, 1), zero=True, by_t=True))),
         R("R5", "skew C3^8 u C5^8", "SkewPDS", "p = 3 (mod 8), m = 2 (mod 4), x + a = -2",
-          "(q,(q-1)/4,(q-11-6x)/16,(q-3+2x)/16)", _pre_x_plus_a, _true, _build_r5),
+          "(q,(q-1)/4,(q-11-6x)/16,(q-3+2x)/16)", _pre_x_plus_a, _true,
+          _union(U("D", "skew", 8, ((3, 5),), _r5, (4, 0)))),
         R("R6", "complement and negative of R5", "SkewPDS", "p = 3 (mod 8), m = 2 (mod 4), x + a = -2",
           "(q,(3q+1)/4,(9q+5+2x)/16,(9q-3-6x)/16); (q,(q-1)/4,(q-11-6x)/16,(q-3+2x)/16)",
-          _pre_x_plus_a, _true, _build_r6),
+          _pre_x_plus_a, _true,
+          _union(U("complement", "skew", 8, ((0, 1, 2, 4, 6, 7),),
+                   lambda f: ((3 * f.q + 1) // 4, (9 * f.q + 5 + 2 * f.x) // 16, (9 * f.q - 3 - 6 * f.x) // 16),
+                   (4, 1, 2, 3), zero=True),
+                 U("negative", "skew", 8, ((1, 7),), _r5, (4, 0)))),
         R("R7", "R5 via l = c^2/2 + 1", "SkewPDS", "q = l^2, l = 3 (mod 8) prime power, l = c^2/2 + 1",
-          "(q,(q-1)/4,(q-11+6l)/16,(q-3-2l)/16)", _pre_r7, _true, _build_r7),
+          "(q,(q-1)/4,(q-11+6l)/16,(q-3-2l)/16)", _pre_r7, _true,
+          _union(U("D", "skew", 8, ((3, 5),), _r7, (4, 0)))),
         R("R8", "skew Paley C0^8 u C1^8 u C2^8 u C5^8", "SkewPDS",
           "p = 3 (mod 8), m = 2 (mod 4), a = x + 4",
-          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_a_is_x4, _true, _build_r8),
+          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_a_is_x4, _true, _union(U("D", "skew", 8, ((0, 1, 2, 5),), _paley))),
         R("R9", "complement and negative of R8", "SkewPDS", "p = 3 (mod 8), m = 2 (mod 4), a = x + 4",
-          "(q,(q+1)/2,(q+3)/4,(q-1)/4); (q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_a_is_x4, _true, _build_r9),
+          "(q,(q+1)/2,(q+3)/4,(q-1)/4); (q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_a_is_x4, _true,
+          _union(U("complement", "skew", 8, ((3, 4, 6, 7),), _paley_complement, (2, 1), zero=True),
+                 U("negative", "skew", 8, ((1, 4, 5, 6),), _paley))),
         R("R10", "R8 via l = d^2 + 2", "SkewPDS", "q = l^2, l = d^2 + 2 = 3 (mod 8) prime power",
-          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_r10, _true, _build_r10),
+          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_r10, _true, _union(U("D", "skew", 8, ((0, 1, 2, 5),), _paley))),
         R("R11", "one-set DPDF C0^8", "RelativeDPDF", "q = 9 (mod 16), 2 quartic residue, a = 1",
           "(q,1,(q-1)/8;(q-15-2x)/64,(q-3+2x)/64)",
-          lambda q, p, m: q % 16 == 9 and _a_value(q, p, m) == 1, _needs_2qr, _build_r11,
-          suspect=True),
+          lambda q, p, m: q % 16 == 9 and _a_value(q, p, m) == 1, _needs_2qr,
+          _union(U("D", "internal", 8, ((0,),), lambda f: ((f.q - 15 - 2 * f.x) // 64, (f.q - 3 + 2 * f.x) // 64)),
+                 note="degenerate branch"), suspect=True),
         R("R12", "DPDF pairs from skew swap", "RelativeDPDF", "p = 3 (mod 8), m = 2 (mod 4), x + a = -2",
-          "(q,2,(q-1)/4;(q-7-2x)/8,(q-3+2x)/8)", _pre_x_plus_a, _true, _build_r12),
+          "(q,2,(q-1)/4;(q-7-2x)/8,(q-3+2x)/8)", _pre_x_plus_a, _true,
+          _union(U("D1", "internal", 8, ((3, 5), (2, 6)), _r12_hi_lo),
+                 U("D2", "internal", 8, ((0, 2), (3, 7)), _swapped(_r12_hi_lo)))),
         R("R13", "family {C0^4, C3^4}", "RelativeEPDF", "q = 5 (mod 8), q = s^2 + 4, q > 5",
-          "DDF (q,2,(q-1)/4,(q-5)/8); EPDF (q,2,(q-1)/4;(q-5)/8,(q+3)/8)",
-          _pre_t2, _true, _build_r13, suspect=True),
+          "DDF (q,2,(q-1)/4,(q-5)/8); EPDF (q,2,(q-1)/4;(q-5)/8,(q+3)/8)", _pre_t2, _true,
+          _union(U("internal", "internal", 4, ((0,), (3,)), lambda f: ((f.q - 5) // 8, None)),
+                 U("external", "external", 4, ((0,), (3,)),
+                   lambda f: ((f.q - 5) // 8, (f.q + 3) // 8) if f.t == -2 else ((f.q + 3) // 8, (f.q - 5) // 8))),
+          suspect=True),
         R("R14", "pair family {i, 2i}, i in C0^4", "RelativeDPDF", "q = 5 (mod 8), q = s^2 + 4, q > 5",
           "DPDF (q,(q-1)/4,2;1,0); EDF (q,(q-1)/4,2,(q-5)/4) or EPDF (q,(q-1)/4,2;(q-9)/4,(q-1)/4)",
           _pre_t2, _true, _build_r14),
         R("R15", "family {C0^8, C2^8}", "RelativeDPDF", "q = 9 (mod 16)",
           "(q,2,(q-1)/8;(q-11-2x-4a)/32,(q-7+2x+4a)/32), DDF (q-9)/32 when x+2a = -1",
-          lambda q, p, m: q % 16 == 9, _true, _build_r15),
+          lambda q, p, m: q % 16 == 9, _true,
+          _union(U("D", "internal", 8, ((0,), (2,)),
+                   lambda f: ((f.q - 11 - 2 * f.x - 4 * f.a) // 32, (f.q - 7 + 2 * f.x + 4 * f.a) // 32)))),
         R("R16", "family {C0^8, C1^8, C4^8, C6^8}", "RelativeDPDF",
           "q = 9 (mod 16), 2 quartic residue, a = 1",
           "(q,4,(q-1)/8;(q-12-x)/16,(q-6+x)/16)",
-          lambda q, p, m: q % 16 == 9 and _a_value(q, p, m) == 1, _needs_2qr, _build_r16),
+          lambda q, p, m: q % 16 == 9 and _a_value(q, p, m) == 1, _needs_2qr,
+          _union(U("D", "internal", 8, ((0,), (1,), (4,), (6,)),
+                   lambda f: ((f.q - 12 - f.x) // 16, (f.q - 6 + f.x) // 16)),
+                 note="degenerate branch")),
         R("R17", "family {C0^8 u C1^8, C2^8 u C3^8}", "RelativeDPDF", "q = 9 (mod 16)",
           "(q,2,(q-1)/4;(q-5+2y-2b)/8,(q-5-2y+2b)/8), DDF (q-5)/8 when y = b",
-          lambda q, p, m: q % 16 == 9, _true, _build_r17),
+          lambda q, p, m: q % 16 == 9, _true,
+          _union(U("D", "internal", 8, ((0, 1), (2, 3)),
+                   lambda f: ((f.q - 5 + 2 * f.y - 2 * f.b) // 8, (f.q - 5 - 2 * f.y + 2 * f.b) // 8)))),
         R("R18", "families {C0^8 u C3^8, C1^8 u C6^8} and {C0^8 u C5^8, C2^8 u C7^8}", "RelativeDPDF",
           "q = 9 (mod 16)",
           "(q,2,(q-1)/4;(q-5-2y-2b)/8,(q-5+2y+2b)/8) and swapped, DDFs when y = -b",
-          lambda q, p, m: q % 16 == 9, _true, _build_r18),
+          lambda q, p, m: q % 16 == 9, _true,
+          _union(U("D1", "internal", 8, ((0, 3), (1, 6)), _r18_lo_hi),
+                 U("D2", "internal", 8, ((0, 5), (2, 7)), _swapped(_r18_lo_hi)))),
         R("R19", "R18 at q = p^2, p = 5 (mod 8)", "RelativeDPDF", "q = p^2, p = 5 (mod 8) prime",
           "(q,2,(q-1)/4;(q-5-2y)/8,(q-5+2y)/8) and swapped",
-          lambda q, p, m: m == 2 and p % 8 == 5, _true, _build_r19),
+          lambda q, p, m: m == 2 and p % 8 == 5, _true,
+          _union(U("D1", "internal", 8, ((0, 3), (1, 6)), _r19_lo_hi),
+                 U("D2", "internal", 8, ((0, 5), (2, 7)), _swapped(_r19_lo_hi)))),
         R("R20", "families {C0^8 u C1^8, C2^8 u C7^8} and {C0^8 u C1^8, C3^8 u C6^8}", "RelativeDPDF",
           "p = 5 (mod 8), m = 2 (mod 4)",
           "(q,2,(q-1)/4;(q-5+2y)/8,(q-5-2y)/8)",
-          lambda q, p, m: p % 8 == 5 and m % 4 == 2, _true, _build_r20),
+          lambda q, p, m: p % 8 == 5 and m % 4 == 2, _true,
+          _union(U("D1", "internal", 8, ((0, 1), (2, 7)), _swapped(_r19_lo_hi)),
+                 U("D2", "internal", 8, ((0, 1), (3, 6)), _swapped(_r19_lo_hi)))),
         R("R21", "external family {C0^8, C4^8}", "RelativeEPDF",
           "q = 1 (mod 16), 2 quartic residue, a = 1",
           "(q,2,(q-1)/8;(q+1-2x)/32,(q-3+2x)/32)",
-          lambda q, p, m: q % 16 == 1 and _a_value(q, p, m) == 1, _needs_2qr, _build_r21),
+          lambda q, p, m: q % 16 == 1 and _a_value(q, p, m) == 1, _needs_2qr,
+          _union(U("D", "external", 8, ((0,), (4,)),
+                   lambda f: ((f.q + 1 - 2 * f.x) // 32, (f.q - 3 + 2 * f.x) // 32)))),
         R("R22", "external family {C0^8, C1^8, C4^8, C5^8}", "RelativeEPDF",
           "q = 1 (mod 16), 2 not a quartic residue, a = -3",
           "(q,4,(q-1)/8;(3q-3+8y)/16,(3q-3-8y)/16), EDF (3q-3)/16 when y = 0",
-          lambda q, p, m: q % 16 == 1 and _a_value(q, p, m) == -3, _needs_2nqr, _build_r22),
+          lambda q, p, m: q % 16 == 1 and _a_value(q, p, m) == -3, _needs_2nqr,
+          _union(U("D", "external", 8, ((0,), (1,), (4,), (5,)),
+                   lambda f: ((3 * f.q - 3 + 8 * f.y) // 16, (3 * f.q - 3 - 8 * f.y) // 16)))),
         R("R23", "external family {C0^8, C2^8 u C6^8}", "RelativeEPDF", "q = 9 (mod 16)",
           "(q,2;(q-1)/8,(q-1)/4;(q-3+2x)/16,(q+1-2x)/16), EDF (q-1)/16 when x = 1",
-          lambda q, p, m: q % 16 == 9, _true, _build_r23),
+          lambda q, p, m: q % 16 == 9, _true,
+          _union(U("D", "external", 8, ((0,), (2, 6)),
+                   lambda f: ((f.q - 3 + 2 * f.x) // 16, (f.q + 1 - 2 * f.x) // 16)))),
         R("R24", "pair family {i, gamma*i}, gamma in C2^4", "DPDF", "q = 5 (mod 8), q > 5",
           "DPDF (q,(q-1)/4,2;1,0) or (0,1); EPDF (q,(q-1)/4,2;(q-9)/4,(q-1)/4) or EDF (q-5)/4",
           lambda q, p, m: q % 8 == 5 and q > 5, _true, _build_r24, suspect=True),
@@ -663,7 +562,7 @@ def registry() -> list[Recipe]:
 
 def get_recipe(recipe_id: str) -> Recipe:
     if recipe_id not in _BY_ID:
-        raise KeyError(f"unknown recipe id {recipe_id!r}")
+        raise UnknownRecipe(f"unknown recipe id {recipe_id!r}")
     return _BY_ID[recipe_id]
 
 
@@ -823,22 +722,23 @@ def prime_powers(lo: int, hi: int):
         yield q, p, m
 
 
-def _enumerate_one(q: int, p: int, m: int, recipes: list[Recipe], certify_cap: int) -> list[Construction]:
-    if not any(r.precheck(q, p, m) for r in recipes):
-        return []
-    field = build_field(p, m)
-    out: list[Construction] = []
-    for recipe in recipes:
-        if not recipe.applicable(field):
+def iter_applicable(
+    q_min: int,
+    q_max: int,
+    recipe_ids: list[str] | None = None,
+    certify_cap: int = 5000,
+) -> Iterator[Construction]:
+    """Evaluate recipes over every prime power in range, certifying where
+    q <= certify_cap.  Constructions are yielded as each field is done,
+    ordered by (q, registry order, plan)."""
+    recipes = _REGISTRY if recipe_ids is None else [get_recipe(r) for r in recipe_ids]
+    for q, p, m in prime_powers(q_min, q_max):
+        if not any(r.precheck(q, p, m) for r in recipes):
             continue
-        if q <= certify_cap:
-            out.extend(apply(recipe, field))
-        else:
-            out.extend(
-                Construction(recipe.id, plan, field.spec, None, False, recipe.suspect)
-                for plan in recipe.plans(field)
-            )
-    return out
+        field = build_field(p, m)
+        for recipe in recipes:
+            if recipe.applicable(field):
+                yield from apply(recipe, field, certify=q <= certify_cap)
 
 
 def enumerate_applicable(
@@ -846,15 +746,6 @@ def enumerate_applicable(
     q_max: int,
     recipe_ids: list[str] | None = None,
     certify_cap: int = 5000,
-    jobs: int = 1,
 ) -> list[Construction]:
-    """Evaluate recipes over every prime power in range, certifying where
-    q <= certify_cap.  Output is ordered by (q, registry order, plan)."""
-    recipes = _REGISTRY if recipe_ids is None else [get_recipe(r) for r in recipe_ids]
-    qs = list(prime_powers(q_min, q_max))
-    if jobs <= 1:
-        chunks = [_enumerate_one(q, p, m, recipes, certify_cap) for q, p, m in qs]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda t: _enumerate_one(*t, recipes, certify_cap), qs))
-    return [c for chunk in chunks for c in chunk]
+    """Every construction of iter_applicable, as a list."""
+    return list(iter_applicable(q_min, q_max, recipe_ids, certify_cap))

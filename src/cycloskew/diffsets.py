@@ -21,20 +21,30 @@ from math import expm1, isqrt, log1p, log2, sqrt
 import numpy as np
 from numpy.fft import irfftn, rfftn
 
-from .errors import ContainsZero, DuplicateElement, IndexOutOfRange, NotDisjoint
+from .errors import ContainsZero, DuplicateElement, IndexOutOfRange, InvalidElementCode, NotDisjoint
 from .field import Field, FieldSpec
 
 _CHUNK = 1 << 20  # ordered pairs per pair-count chunk
 
 
 def as_element_set(field: Field, codes) -> np.ndarray:
-    """Sorted array of distinct element codes; duplicates are rejected."""
-    arr = np.asarray(sorted(int(c) for c in codes), dtype=np.int64)
+    """Sorted array of distinct element codes.  Every entry must be an
+    integer: bool, float, str and nested entries are rejected, as are
+    duplicates."""
+    try:
+        raw = np.asarray(codes)
+    except ValueError as exc:  # ragged nesting
+        raise InvalidElementCode(f"element codes must be integers: {exc}") from exc
+    non_int = raw.dtype.kind not in "iu" and raw.size
+    if raw.ndim != 1 or non_int or (not isinstance(codes, np.ndarray) and bool in map(type, codes)):
+        raise InvalidElementCode("element codes must be integers, not bool, float, str or nested")
+    arr = raw.astype(np.int64)  # a copy: the caller's array is never sorted
+    arr.sort()
     if len(arr) == 0:
         return arr
     if arr[0] < 0 or arr[-1] >= field.q:
         raise IndexOutOfRange(f"element code out of range [0, {field.q})")
-    if (arr[1:] == arr[:-1]).any():
+    if np.count_nonzero(arr[1:] == arr[:-1]):
         raise DuplicateElement("set contains a repeated element")
     return arr
 

@@ -77,6 +77,10 @@ class ContainsZero(CycloskewError):
     pass
 
 
+class InvalidElementCode(CycloskewError):
+    pass
+
+
 # construction recipes
 class NotApplicable(CycloskewError):
     pass
@@ -95,6 +99,10 @@ class ProfileNotTwoValued(CycloskewError):
 
 
 class HypothesisNotMet(CycloskewError):
+    pass
+
+
+class UnknownRecipe(CycloskewError):
     pass
 
 

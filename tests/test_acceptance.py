@@ -4,6 +4,7 @@ Everything here is exact integer comparison; the only tolerances are the
 stated wall-clock budgets, asserted generously against this machine.
 """
 
+import hashlib
 import json
 import re
 import time
@@ -291,6 +292,20 @@ def test_criterion_5_recipe_sweep():
         "criterion 5: full recipe sweep to q = 5000",
         True,
         f"{len(cons)} constructions, 0 mismatches, {dt:.1f}s",
+    )
+
+
+def test_recipe_outputs_pinned():
+    # every plan and certificate of the criterion 5 sweep, and the registry
+    # dump, byte for byte as recorded before recipes became data
+    cons = _sweep_constructions()
+    catalog = "".join(json.dumps(c.to_json()) + "\n" for c in cons)
+    assert hashlib.sha256(catalog.encode()).hexdigest() == (
+        "c70c8fa75017894496bbe8e20a86f2fe062f750838de9f63684303421336e18e"
+    )
+    dump = "".join(json.dumps(r.describe()) + "\n" for r in registry())
+    assert hashlib.sha256(dump.encode()).hexdigest() == (
+        "7cb7413ca0b6dd2d66438f392750610854190adff7ddc082a628542b56f67c42"
     )
 
 

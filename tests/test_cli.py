@@ -1,6 +1,9 @@
 import json
 import re
 
+import pytest
+
+import cycloskew.constructions
 from cycloskew.cli import main, table1_rows, table2_rows
 
 
@@ -133,7 +136,7 @@ def test_scan_deterministic(tmp_path, capsys):
     out2 = tmp_path / "b.jsonl"
     for out in (out1, out2):
         code, _, _ = run(
-            capsys, "scan", "5", "120", "--certify-cap", "120", "--out", str(out), "--jobs", "2"
+            capsys, "scan", "5", "120", "--certify-cap", "120", "--out", str(out)
         )
         assert code == 0
     strip = lambda text: re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', text)
@@ -152,6 +155,47 @@ def test_scan_beyond_certify_cap(capsys):
     assert entry["q"] == 26569 and entry["recipe"] == "R7"
     assert entry["predicted_params"] == {"v": 26569, "k": 6642, "lambda": 1721, "mu": 1640}
     assert entry["certificate"] is None and not entry["oracle_verified"]
+
+
+def test_scan_mismatch_leaves_no_catalog(tmp_path, capsys, monkeypatch):
+    # a mismatch at q = 53 stops the scan after the entries of smaller q were written
+    match = cycloskew.constructions._match_problem
+    monkeypatch.setattr(
+        cycloskew.constructions,
+        "_match_problem",
+        lambda plan, cert: "forced" if cert.field.p == 53 else match(plan, cert),
+    )
+    out = tmp_path / "cat.jsonl"
+    code, _, err = run(capsys, "scan", "5", "120", "--certify-cap", "120", "--out", str(out))
+    assert code == 2 and "PredictionMismatch" in err
+    assert list(tmp_path.iterdir()) == []
+
+    code, out_text, err = run(capsys, "scan", "5", "120", "--certify-cap", "120")
+    assert code == 2 and "PredictionMismatch" in err
+    qs = [json.loads(line)["q"] for line in out_text.splitlines()]
+    assert qs and max(qs) < 53
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["verify", "--p", "13", "--gen", "2", "--sets", "[[1.9, 3, 4, 9, 10, 12]]", "--mode", "pds"],
+         "InvalidElementCode"),
+        (["verify", "--p", "13", "--sets", '[["x", 3]]', "--mode", "pds"], "InvalidElementCode"),
+        (["verify", "--p", "13", "--sets", "[]", "--mode", "pds"], "ParseError"),
+        (["verify", "--p", "13", "--sets", "[[1, 2]]", "--mode", "internal", "--reference", "5"], "ParseError"),
+        (["verify", "--p", "13", "--sets", "[[1, 2]]", "--mode", "internal", "--reference", "[1.5, 3]"],
+         "InvalidElementCode"),
+        (["catalog", "{tmp}/missing.jsonl"], "ParseError"),
+        (["catalog", "{tmp}/malformed.jsonl"], "ParseError"),
+        (["scan", "5", "50", "--recipes", "RX"], "UnknownRecipe"),
+    ],
+)
+def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, error):
+    (tmp_path / "malformed.jsonl").write_text('{"q": 13,\n')
+    code, _, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert err.startswith(f"error: {error}: ")
 
 
 def test_catalog_reverify(tmp_path, capsys):

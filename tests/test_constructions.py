@@ -279,5 +279,5 @@ def test_enumerate_ranges():
 
 def test_enumerate_certified_deterministic():
     a = enumerate_applicable(5, 120, certify_cap=120)
-    b = enumerate_applicable(5, 120, certify_cap=120, jobs=2)
+    b = enumerate_applicable(5, 120, certify_cap=120)
     assert [c.to_json() for c in a] == [c.to_json() for c in b]

@@ -1,3 +1,4 @@
+import json
 from functools import cache
 from math import isqrt
 
@@ -20,7 +21,8 @@ from cycloskew import (
     internal_differences,
     verify_certificate,
 )
-from cycloskew.errors import ContainsZero, DuplicateElement, NotDisjoint
+from cycloskew.cli import main
+from cycloskew.errors import ContainsZero, DuplicateElement, InvalidElementCode, NotDisjoint
 
 
 def naive_internal(field, D):
@@ -69,6 +71,44 @@ def test_internal_matches_naive(gf13, gf9, gf25):
 def test_internal_rejects_duplicates(gf13):
     with pytest.raises(DuplicateElement):
         internal_differences(gf13, [1, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [[1.9, 3, 4, 9, 10, 12], [True, 3], [True, False], ["1", 3], [None], [[1], 3], [[1, 2]]],
+)
+def test_non_integer_codes_rejected(gf13, capsys, codes):
+    with pytest.raises(InvalidElementCode):
+        diffsets.as_element_set(gf13, codes)
+    argv = ["verify", "--p", "13", "--gen", "2", "--sets", json.dumps([codes]), "--mode", "pds"]
+    assert main(argv) == 2
+    assert "InvalidElementCode" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [np.array([1.0, 3.0]), np.array([True, False]), np.array([[1, 3]]), {1, 3}],
+)
+def test_non_integer_arrays_rejected(gf13, codes):
+    with pytest.raises(InvalidElementCode):
+        diffsets.as_element_set(gf13, codes)
+
+
+@pytest.mark.parametrize(
+    "codes, expect",
+    [
+        ([3, 1], [1, 3]),
+        ((3, 1), [1, 3]),
+        (range(1, 4, 2), [1, 3]),
+        (np.array([3, 1]), [1, 3]),
+        (np.array([3, 1], dtype=np.uint8), [1, 3]),
+        ([np.int64(3), 1], [1, 3]),
+        ([], []),
+        (np.array([], dtype=np.int64), []),
+    ],
+)
+def test_integer_codes_accepted(gf13, codes, expect):
+    assert diffsets.as_element_set(gf13, codes).tolist() == expect
 
 
 def test_paley_profile(gf13):
