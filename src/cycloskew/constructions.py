@@ -3,8 +3,10 @@
 Each recipe couples an applicability predicate with a family builder and
 the predicted certificate (kind, parameters, reference set).  Applying a
 recipe always re-certifies the built family against the difference
-multiset oracle; a disagreement raises PredictionMismatch and is never
-silently corrected.
+multiset oracle, through diffsets.certify in the plan's mode; a
+disagreement raises PredictionMismatch and is never silently corrected.
+Predicted family params come from diffsets.family_params, the builder of
+the certified ones.
 
 Most recipes are rows of data (UnionPlan): sets and reference as unions
 of cyclotomic classes, 0 adjoined for skew complements, and the
@@ -38,11 +40,15 @@ import numpy as np
 from .cyclotomy import ClassPartition, classes, cyclotomic_numbers_order8
 from .diffsets import (
     Certificate,
+    _split,
     as_element_set,
+    certify,
     check_family,
     check_pds,
     check_skew_pds,
+    family_params,
     internal_differences,
+    verify_certificate,
 )
 from .errors import (
     DeltaNotConstant,
@@ -174,19 +180,6 @@ def _plan(label, mode, family, reference, kind, params, note="") -> list[Plan]:
     return [Plan(label, mode, family, reference, kind, params, note)]
 
 
-def _fam_params(q: int, family, lam: int, mu: int | None) -> dict:
-    ks = [len(s) for s in family]
-    params: dict = {"v": q, "m": len(ks)}
-    if len(set(ks)) == 1:
-        params["k"] = ks[0]
-    else:
-        params["ks"] = ks
-    params["lambda"] = lam
-    if mu is not None:
-        params["mu"] = mu
-    return params
-
-
 def _is_square(n: int) -> bool:
     if n < 0:
         return False
@@ -298,10 +291,10 @@ def _union_plans(rows: tuple[UnionPlan, ...], note: str, field: Field, facts: Fi
         lam, mu = row.params(facts)
         if mu is None or lam == mu:
             kind = "DDF" if row.mode == "internal" else "EDF"
-            plans += _plan(row.label, row.mode, family, None, kind, _fam_params(q, family, lam, None), note)
+            plans += _plan(row.label, row.mode, family, None, kind, family_params(q, map(len, family), lam), note)
         else:
             kind = "RelativeDPDF" if row.mode == "internal" else "RelativeEPDF"
-            plans += _plan(row.label, row.mode, family, ref, kind, _fam_params(q, family, lam, mu))
+            plans += _plan(row.label, row.mode, family, ref, kind, family_params(q, map(len, family), lam, mu))
     return plans
 
 
@@ -342,15 +335,20 @@ def _swapped(params: Callable[[FieldFacts], tuple[int, int]]) -> Callable[[Field
     return lambda f: params(f)[::-1]
 
 
+def _pair_family(field: Field, gamma: int, part4: ClassPartition) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(sorted((int(i), field.mul(gamma, int(i))))) for i in part4.members[0]
+    )
+
+
 def _build_r14(field, facts):
     q, t = facts.q, facts.t
     p4, p2 = classes(field, 4), classes(field, 2)
-    two = field.element(2)
-    fam = tuple(tuple(sorted((int(i), field.mul(two, int(i))))) for i in p4.members[0])
-    plans = _plan("internal", "internal", fam, _u(p2, 0), "RelativeDPDF", _fam_params(q, fam, 1, 0))
-    cls2 = p4.class_of(two)
+    fam = _pair_family(field, field.element(2), p4)
+    plans = _plan("internal", "internal", fam, _u(p2, 0), "RelativeDPDF", family_params(q, map(len, fam), 1, 0))
+    cls2 = p4.class_of(field.element(2))
     if (cls2 == 1 and t == -2) or (cls2 == 3 and t == 2):
-        plans += _plan("external", "external", fam, None, "EDF", _fam_params(q, fam, (q - 5) // 4, None))
+        plans += _plan("external", "external", fam, None, "EDF", family_params(q, map(len, fam), (q - 5) // 4))
     else:
         plans += _plan(
             "external",
@@ -358,51 +356,43 @@ def _build_r14(field, facts):
             fam,
             _u(p2, 0),
             "RelativeEPDF",
-            _fam_params(q, fam, (q - 9) // 4, (q - 1) // 4),
+            family_params(q, map(len, fam), (q - 9) // 4, (q - 1) // 4),
         )
     return plans
 
 
 def r24_admissible_gammas(field: Field) -> tuple[list[int], list[int]]:
     """Codes gamma in C_2^4 split by whether 1 - gamma is a square."""
-    p4, p2 = classes(field, 4), classes(field, 2)
-    in_sq, out_sq = [], []
-    for g in p4.members[2]:
-        u = field.sub(1, int(g))
-        (in_sq if p2.class_of(u) == 0 else out_sq).append(int(g))
-    return in_sq, out_sq
-
-
-def _pair_family(field: Field, gamma: int, part4: ClassPartition) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(sorted((int(i), field.mul(gamma, int(i))))) for i in part4.members[0]
-    )
+    gammas = classes(field, 4).members[2]
+    square = classes(field, 2).cls_of[field.sub_codes(1, gammas)] == 0
+    return gammas[square].tolist(), gammas[~square].tolist()
 
 
 def _build_r24(field, facts):
     q = facts.q
     p4, p2 = classes(field, 4), classes(field, 2)
     in_sq, out_sq = r24_admissible_gammas(field)
+    ks = [2] * p4.f  # (q-1)/4 pairs {i, gamma*i}
     plans: list[Plan] = []
     if in_sq:
         fam = _pair_family(field, in_sq[0], p4)
         note = f"gamma={in_sq[0]}, derived branch"
-        plans += _plan("in-sq-internal", "internal", fam, None, "DPDF", _fam_params(q, fam, 1, 0), note)
+        plans += _plan("in-sq-internal", "internal", fam, None, "DPDF", family_params(q, ks, 1, 0), note)
         plans += _plan(
             "in-sq-external",
             "external",
             fam,
             None,
             "EPDF",
-            _fam_params(q, fam, (q - 9) // 4, (q - 1) // 4),
+            family_params(q, ks, (q - 9) // 4, (q - 1) // 4),
             note,
         )
     if out_sq:
         fam = _pair_family(field, out_sq[0], p4)
         note = f"gamma={out_sq[0]}"
-        plans += _plan("out-sq-internal", "internal", fam, None, "DPDF", _fam_params(q, fam, 0, 1), note)
+        plans += _plan("out-sq-internal", "internal", fam, None, "DPDF", family_params(q, ks, 0, 1), note)
         plans += _plan(
-            "out-sq-external", "external", fam, None, "EDF", _fam_params(q, fam, (q - 5) // 4, None), note
+            "out-sq-external", "external", fam, None, "EDF", family_params(q, ks, (q - 5) // 4), note
         )
     return plans
 
@@ -410,12 +400,9 @@ def _build_r24(field, facts):
 def r25_admissible_gammas(field: Field) -> list[int]:
     """Codes gamma in C_2^4 with one of 1 -+ gamma in C_0^4, the other in C_2^4."""
     p4 = classes(field, 4)
-    out = []
-    for g in p4.members[2]:
-        u, v = field.sub(1, int(g)), field.add(1, int(g))
-        if {p4.class_of(u), p4.class_of(v)} == {0, 2}:
-            out.append(int(g))
-    return out
+    gammas = p4.members[2]
+    u, v = p4.cls_of[field.sub_codes(1, gammas)], p4.cls_of[field.add_codes(1, gammas)]
+    return gammas[((u == 0) & (v == 2)) | ((u == 2) & (v == 0))].tolist()
 
 
 def _build_r25(field, facts):
@@ -428,9 +415,10 @@ def _build_r25(field, facts):
         for i in reps
     )
     note = f"gamma={gamma}"
-    plans = _plan("internal", "internal", fam, None, "DPDF", _fam_params(q, fam, 3, 0), note)
+    ks = [len(s) for s in fam]
+    plans = _plan("internal", "internal", fam, None, "DPDF", family_params(q, ks, 3, 0), note)
     plans += _plan(
-        "external", "external", fam, None, "EPDF", _fam_params(q, fam, (q - 17) // 4, (q - 1) // 4), note
+        "external", "external", fam, None, "EPDF", family_params(q, ks, (q - 17) // 4, (q - 1) // 4), note
     )
     return plans
 
@@ -595,17 +583,23 @@ class Construction:
             "oracle_verified": self.oracle_verified,
         }
 
-
-def certify_plan(field: Field, plan: Plan) -> Certificate:
-    if plan.mode == "skew":
-        return check_skew_pds(field, plan.family[0])
-    return check_family(field, plan.family, plan.mode, reference=plan.reference)
+    @staticmethod
+    def from_json(d: dict) -> "Construction":
+        """Inverse of to_json.  KeyError, TypeError, ValueError or
+        AttributeError when d does not have the shape of an entry."""
+        fs, ref = d["field"], d["reference"]
+        family = tuple(tuple(s) for s in d["family"])
+        plan = Plan(d["label"], d["mode"], family, None if ref is None else tuple(ref), d["predicted_kind"],
+                    dict(d["predicted_params"]), d["note"])
+        cert = None if d["certificate"] is None else Certificate.from_json(d["certificate"])
+        spec = FieldSpec(fs["p"], fs["m"], tuple(fs["poly"]), fs["generator"])
+        return Construction(d["recipe"], plan, spec, cert, d["oracle_verified"], d["suspect"])
 
 
 def _match_problem(plan: Plan, cert: Certificate) -> str | None:
     if not cert.ok:
         return "certifier returned kind None"
-    if plan.mode == "skew":
+    if plan.mode == "skew" and plan.kind == "SkewPDS":
         if cert.kind not in ("SkewPDS", "TrivialSkewPDS"):
             return f"kind {cert.kind} is not a skew PDS"
     elif cert.kind != plan.kind:
@@ -620,21 +614,39 @@ def _match_problem(plan: Plan, cert: Certificate) -> str | None:
     return None
 
 
+def _certified(recipe_id: str, plan: Plan, field: Field, suspect: bool = False) -> Construction:
+    """The plan's construction with its oracle certificate; PredictionMismatch
+    when the certificate disagrees with the plan."""
+    cert = certify(field, plan.mode, plan.family, plan.reference)
+    problem = _match_problem(plan, cert)
+    if problem is not None:
+        raise PredictionMismatch(f"{recipe_id}[{plan.label}] at q={field.q}: {problem}")
+    return Construction(recipe_id, plan, field.spec, cert, True, suspect)
+
+
+def recheck(con: Construction) -> list[str]:
+    """Why a construction read back from a catalog no longer holds: its
+    certificate must be over its field, hold its family, recompute from
+    its own sets and still match its prediction.  Empty when it holds."""
+    cert, fs = con.certificate, con.field
+    if cert is None:
+        return ["no certificate"]
+    problems = []
+    if cert.field != fs:
+        problems.append("field differs from the certificate's")
+    if cert.sets != [list(s) for s in con.plan.family]:
+        problems.append("family differs from the certificate's sets")
+    if not verify_certificate(build_field(fs.p, fs.m, poly=fs.poly, generator=fs.generator), cert):
+        problems.append("certificate does not recompute from its sets")
+    mismatch = _match_problem(con.plan, cert)
+    return problems if mismatch is None else problems + [mismatch]
+
+
 def apply(recipe: Recipe, field: Field, certify: bool = True) -> list[Construction]:
     """Build every plan of the recipe and certify it against the oracle."""
-    plans = recipe.plans(field)
-    out = []
-    for plan in plans:
-        cert = None
-        verified = False
-        if certify:
-            cert = certify_plan(field, plan)
-            problem = _match_problem(plan, cert)
-            if problem is not None:
-                raise PredictionMismatch(f"{recipe.id}[{plan.label}] at q={field.q}: {problem}")
-            verified = True
-        out.append(Construction(recipe.id, plan, field.spec, cert, verified, recipe.suspect))
-    return out
+    if not certify:
+        return [Construction(recipe.id, plan, field.spec, suspect=recipe.suspect) for plan in recipe.plans(field)]
+    return [_certified(recipe.id, plan, field, recipe.suspect) for plan in recipe.plans(field)]
 
 
 # ---- generic combinators ----
@@ -644,7 +656,6 @@ def swap_combinator(field: Field, pairs) -> Construction:
     """Certify {D_i} as a DPDF relative to the union of the A_i, given that
     each Delta(D_i) is two-valued over (A_i*, G* minus A_i) with a common
     difference of frequencies."""
-    q = field.q
     ds = [as_element_set(field, d) for d, _ in pairs]
     as_ = [as_element_set(field, a) for _, a in pairs]
     for group, label in ((ds, "D"), (as_, "A")):
@@ -653,35 +664,18 @@ def swap_combinator(field: Field, pairs) -> Construction:
             raise NotDisjoint(f"{label} sets are not pairwise disjoint")
     deltas, mus = [], []
     for d, a in zip(ds, as_):
-        prof = internal_differences(field, d)
-        a_star = a[a != 0]
-        off = np.ones(q, dtype=bool)
-        off[a] = False
-        off[0] = False
-        lam_vals = np.unique(prof[a_star])
-        mu_vals = np.unique(prof[off])
-        if len(lam_vals) != 1 or len(mu_vals) != 1 or lam_vals[0] == mu_vals[0]:
-            raise ProfileNotTwoValued(f"Delta(D) is not two-valued over the given A split")
-        deltas.append(int(lam_vals[0]) - int(mu_vals[0]))
-        mus.append(int(mu_vals[0]))
+        lam_mu = _split(field, internal_differences(field, d), a)
+        if lam_mu is None or lam_mu[0] == lam_mu[1]:
+            raise ProfileNotTwoValued("Delta(D) is not two-valued over the given A split")
+        deltas.append(lam_mu[0] - lam_mu[1])
+        mus.append(lam_mu[1])
     if len(set(deltas)) != 1:
         raise DeltaNotConstant(f"lambda - mu differs across pairs: {deltas}")
     ref = np.sort(np.concatenate(as_))
-    lam = deltas[0] + sum(mus)
-    mu = sum(mus)
-    plan = Plan(
-        "swap",
-        "internal",
-        tuple(tuple(int(c) for c in d) for d in ds),
-        tuple(int(c) for c in ref),
-        "RelativeDPDF",
-        _fam_params(q, ds, lam, mu),
-    )
-    cert = certify_plan(field, plan)
-    problem = _match_problem(plan, cert)
-    if problem is not None:
-        raise PredictionMismatch(f"swap combinator at q={q}: {problem}")
-    return Construction("swap", plan, field.spec, cert, True)
+    params = family_params(field.q, map(len, ds), deltas[0] + sum(mus), sum(mus))
+    family = tuple(tuple(d.tolist()) for d in ds)
+    plan = Plan("swap", "internal", family, tuple(ref.tolist()), "RelativeDPDF", params)
+    return _certified("swap", plan, field)
 
 
 def skew_from_families(field: Field, family, reference) -> Certificate:

@@ -8,6 +8,11 @@ most q pairs, and any result that fails its guard, are counted pair by
 pair.  Nothing is inferred from formulas, so a certificate is an
 independent witness.
 
+Every PDS and family kind is read off one two-valued profile by _split:
+lambda on a reference set, mu on the rest of G*.  certify is the one
+dispatch from a mode (pds, skew, ads, internal, external) to its check,
+and verify_certificate maps each kind to its mode.
+
 Certificate kinds: PDS, SkewPDS, TrivialSkewPDS, ADS, DDF, EDF, DPDF,
 EPDF, RelativeDPDF, RelativeEPDF, or None on failure.  All counts are
 exact integers; there are no tolerances anywhere.
@@ -21,7 +26,7 @@ from math import expm1, isqrt, log1p, log2, sqrt
 import numpy as np
 from numpy.fft import irfftn, rfftn
 
-from .errors import ContainsZero, DuplicateElement, IndexOutOfRange, InvalidElementCode, NotDisjoint
+from .errors import ContainsZero, DuplicateElement, IndexOutOfRange, InvalidElementCode, NotDisjoint, UnknownMode
 from .field import Field, FieldSpec
 
 _CHUNK = 1 << 20  # ordered pairs per pair-count chunk
@@ -221,7 +226,31 @@ class Certificate:
 
 
 def _none_cert(field: Field, sets: list[np.ndarray]) -> Certificate:
-    return Certificate("None", field.spec, [[int(c) for c in s] for s in sets], None)
+    return Certificate("None", field.spec, [s.tolist() for s in sets], None)
+
+
+def _split(field: Field, prof: np.ndarray, inside: np.ndarray) -> tuple[int, int] | None:
+    """(lambda, mu): the single value of prof on inside minus 0, and the
+    single value on the rest of G*.  A side with no elements takes the
+    other side's value; None when either side holds more than one value."""
+    rest = np.ones(field.q, dtype=bool)
+    rest[inside] = False
+    rest[0] = False
+    lam_vals, mu_vals = np.unique(prof[inside[inside != 0]]), np.unique(prof[rest])
+    if len(lam_vals) > 1 or len(mu_vals) > 1:
+        return None
+    lam = int(lam_vals[0] if len(lam_vals) else mu_vals[0])
+    return lam, int(mu_vals[0]) if len(mu_vals) else lam
+
+
+def family_params(q: int, ks, lam: int, mu: int | None = None) -> dict:
+    """Params of a family with set sizes ks: v, m, k (ks when the sizes
+    differ), lambda, and mu unless the family is a DDF/EDF."""
+    ks = list(ks)
+    params = {"v": q, "m": len(ks), **({"k": ks[0]} if len(set(ks)) == 1 else {"ks": ks}), "lambda": lam}
+    if mu is not None:
+        params["mu"] = mu
+    return params
 
 
 def _is_symmetric(field: Field, A: np.ndarray) -> bool:
@@ -246,33 +275,24 @@ def _pds_type(v: int, k: int, lam: int, mu: int, regular: bool):
     return "Other", None
 
 
+def _pds_certificate(field: Field, kind: str, d: np.ndarray, ref: np.ndarray, lam: int, mu: int,
+                     offset: int | None = None) -> Certificate:
+    """Certificate of the set d whose profile is that of the PDS ref, with
+    the regularity and the parameter type of ref."""
+    regular = bool(0 not in ref and _is_symmetric(field, ref))
+    ptype, pargs = _pds_type(field.q, len(ref), lam, mu, regular)
+    params = {"v": field.q, "k": len(d), "lambda": lam, "mu": mu}
+    return Certificate(kind, field.spec, [d.tolist()], ref.tolist(), params, pds_type=ptype, pds_type_args=pargs,
+                       regular=regular, trivial=offset is not None, translate_offset=offset)
+
+
 def check_pds(field: Field, A) -> Certificate:
     """Certify A as a (v, k, lambda, mu) partial difference set."""
     a = as_element_set(field, A)
-    prof = internal_differences(field, a)
-    q = field.q
-    a_star = a[a != 0]
-    off = np.ones(q, dtype=bool)
-    off[a] = False
-    off[0] = False
-    lam_vals = np.unique(prof[a_star]) if len(a_star) else np.empty(0, dtype=np.int64)
-    mu_vals = np.unique(prof[off]) if off.any() else np.empty(0, dtype=np.int64)
-    if len(lam_vals) > 1 or len(mu_vals) > 1:
+    lam_mu = _split(field, internal_differences(field, a), a)
+    if lam_mu is None:
         return _none_cert(field, [a])
-    lam = int(lam_vals[0]) if len(lam_vals) else (int(mu_vals[0]) if len(mu_vals) else 0)
-    mu = int(mu_vals[0]) if len(mu_vals) else lam
-    regular = bool(0 not in a and _is_symmetric(field, a))
-    ptype, pargs = _pds_type(q, len(a), lam, mu, regular)
-    return Certificate(
-        "PDS",
-        field.spec,
-        [[int(c) for c in a]],
-        [int(c) for c in a],
-        {"v": q, "k": len(a), "lambda": lam, "mu": mu},
-        pds_type=ptype,
-        pds_type_args=pargs,
-        regular=regular,
-    )
+    return _pds_certificate(field, "PDS", a, a, *lam_mu)
 
 
 def _translate_offset(field: Field, D: np.ndarray, A: np.ndarray) -> int | None:
@@ -312,89 +332,47 @@ def check_skew_pds(field: Field, D) -> Certificate:
                 continue
             if not np.array_equal(internal_differences(field, cand), prof):
                 continue
-            lam = int(val)
             mu = int(vals[0] if vals[1] == val else vals[1])
-            regular = bool(0 not in cand and _is_symmetric(field, cand))
-            ptype, pargs = _pds_type(field.q, len(cand), lam, mu, regular)
             offset = _translate_offset(field, d, cand)
-            return Certificate(
-                "TrivialSkewPDS" if offset is not None else "SkewPDS",
-                field.spec,
-                [[int(c) for c in d]],
-                [int(c) for c in cand],
-                {"v": field.q, "k": len(d), "lambda": lam, "mu": mu},
-                pds_type=ptype,
-                pds_type_args=pargs,
-                regular=regular,
-                trivial=offset is not None,
-                translate_offset=offset,
-            )
+            kind = "SkewPDS" if offset is None else "TrivialSkewPDS"
+            return _pds_certificate(field, kind, d, cand, int(val), mu, offset)
     return _none_cert(field, [d])
 
 
 def check_family(field: Field, family, mode: str, reference=None) -> Certificate:
     """Certify a disjoint family as a (relative) DPDF/EPDF or DDF/EDF.
 
-    mode "internal" classifies Int, mode "external" classifies Ext.
-    Without a reference the two-valued profile must align with the union
-    S; with a reference T it must be constant on T and on G* minus T.
-    A constant nonzero profile is the lambda == mu degeneration and is
+    mode "internal" classifies Int, mode "external" classifies Ext.  The
+    two-valued profile must be constant on the reference T and on G*
+    minus T; without a reference, T is the union of the family.  A
+    constant nonzero profile is the lambda == mu degeneration and is
     reported as DDF/EDF; an empty difference multiset certifies nothing.
     """
     if mode not in ("internal", "external"):
-        raise ValueError(f"unknown family mode {mode!r}")
+        raise UnknownMode(f"unknown family mode {mode!r}")
     fam, union = _validated_family(field, family)
     prof = _family_profile(field, fam, union, mode)
-    q = field.q
-    sets_out = [[int(c) for c in s] for s in fam]
     ks = [len(s) for s in fam]
-    params: dict = {"v": q, "m": len(fam)}
-    if len(set(ks)) == 1:
-        params["k"] = ks[0]
-    else:
-        params["ks"] = ks
-
-    if prof.sum() == 0:
-        return _none_cert(field, fam)
     vals = np.unique(prof[1:])
-    if len(vals) == 1:
-        params["lambda"] = int(vals[0])
-        kind = "DDF" if mode == "internal" else "EDF"
-        return Certificate(kind, field.spec, sets_out, None, params)
-    if len(vals) != 2:
+    if prof.sum() == 0 or len(vals) > 2:
         return _none_cert(field, fam)
+    sets = [s.tolist() for s in fam]
+    if len(vals) == 1:
+        kind = "DDF" if mode == "internal" else "EDF"
+        return Certificate(kind, field.spec, sets, None, family_params(field.q, ks, int(vals[0])))
 
+    t = union
     if reference is not None:
         t = as_element_set(field, reference)
         if len(t) and t[0] == 0:
             raise ContainsZero("reference set must avoid 0")
-        off = np.ones(q, dtype=bool)
-        off[t] = False
-        off[0] = False
-        lam_vals = np.unique(prof[t])
-        mu_vals = np.unique(prof[off])
-        if len(lam_vals) != 1 or len(mu_vals) != 1:
-            return _none_cert(field, fam)
-        params["lambda"] = int(lam_vals[0])
-        params["mu"] = int(mu_vals[0])
-        kind = "RelativeDPDF" if mode == "internal" else "RelativeEPDF"
-        comp = np.setdiff1d(field.nonzero_codes(), union, assume_unique=True)
-        trivial = bool(np.array_equal(t, union) or np.array_equal(t, comp))
-        return Certificate(
-            kind, field.spec, sets_out, [int(c) for c in t], params, trivial=trivial
-        )
-
-    off = np.ones(q, dtype=bool)
-    off[union] = False
-    off[0] = False
-    lam_vals = np.unique(prof[union])
-    mu_vals = np.unique(prof[off])
-    if len(lam_vals) != 1 or len(mu_vals) != 1:
+    lam_mu = _split(field, prof, t)
+    if lam_mu is None:
         return _none_cert(field, fam)
-    params["lambda"] = int(lam_vals[0])
-    params["mu"] = int(mu_vals[0])
-    kind = "DPDF" if mode == "internal" else "EPDF"
-    return Certificate(kind, field.spec, sets_out, [int(c) for c in union], params)
+    kind = ("Relative" if reference is not None else "") + ("DPDF" if mode == "internal" else "EPDF")
+    comp = None if reference is None else np.setdiff1d(field.nonzero_codes(), union, assume_unique=True)
+    trivial = reference is not None and (np.array_equal(t, union) or np.array_equal(t, comp))
+    return Certificate(kind, field.spec, sets, t.tolist(), family_params(field.q, ks, *lam_mu), trivial=trivial)
 
 
 def check_ads(field: Field, D) -> Certificate:
@@ -414,29 +392,37 @@ def check_ads(field: Field, D) -> Certificate:
     return Certificate(
         "ADS",
         field.spec,
-        [[int(c) for c in d]],
-        [int(c) for c in t_set],
+        [d.tolist()],
+        t_set.tolist(),
         {"v": field.q, "k": len(d), "lambda": lam, "t": len(t_set)},
     )
 
 
+def certify(field: Field, mode: str, sets, reference=None) -> Certificate:
+    """Classify sets in a mode: pds, skew and ads take sets[0], internal
+    and external the family (and the reference, if any)."""
+    if mode == "pds":
+        return check_pds(field, sets[0])
+    if mode == "skew":
+        return check_skew_pds(field, sets[0])
+    if mode == "ads":
+        return check_ads(field, sets[0])
+    if mode in ("internal", "external"):
+        return check_family(field, sets, mode, reference=reference)
+    raise UnknownMode(f"mode {mode!r} is not one of pds|skew|ads|internal|external")
+
+
+_KIND_MODE = {
+    "PDS": "pds", "SkewPDS": "skew", "TrivialSkewPDS": "skew", "ADS": "ads",
+    "DDF": "internal", "DPDF": "internal", "RelativeDPDF": "internal",
+    "EDF": "external", "EPDF": "external", "RelativeEPDF": "external",
+}
+
+
 def verify_certificate(field: Field, cert: Certificate) -> bool:
     """Recompute the certificate from its stored sets and compare exactly."""
-    kind = cert.kind
-    if kind == "PDS":
-        redo = check_pds(field, cert.sets[0])
-    elif kind in ("SkewPDS", "TrivialSkewPDS"):
-        redo = check_skew_pds(field, cert.sets[0])
-    elif kind == "ADS":
-        redo = check_ads(field, cert.sets[0])
-    elif kind in ("DDF", "DPDF"):
-        redo = check_family(field, cert.sets, "internal")
-    elif kind in ("EDF", "EPDF"):
-        redo = check_family(field, cert.sets, "external")
-    elif kind == "RelativeDPDF":
-        redo = check_family(field, cert.sets, "internal", reference=cert.reference_set)
-    elif kind == "RelativeEPDF":
-        redo = check_family(field, cert.sets, "external", reference=cert.reference_set)
-    else:
+    mode = _KIND_MODE.get(cert.kind)
+    if mode is None:
         return False
-    return redo.to_json() == cert.to_json()
+    reference = cert.reference_set if cert.kind.startswith("Relative") else None
+    return certify(field, mode, cert.sets, reference).to_json() == cert.to_json()

@@ -224,14 +224,6 @@ class Field:
 
     # ---- vectorized code arithmetic ----
 
-    def digits(self, arr: np.ndarray) -> list[np.ndarray]:
-        arr = np.asarray(arr, dtype=np.int64)
-        out = []
-        for _ in range(self.m):
-            out.append(arr % self.p)
-            arr = arr // self.p
-        return out
-
     def sub_codes(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)

@@ -1,9 +1,16 @@
+import io
 import json
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cycloskew.constructions
+from cycloskew import errors
 from cycloskew.cli import main, table1_rows, table2_rows
 
 
@@ -189,10 +196,14 @@ def test_scan_mismatch_leaves_no_catalog(tmp_path, capsys, monkeypatch):
         (["catalog", "{tmp}/missing.jsonl"], "ParseError"),
         (["catalog", "{tmp}/malformed.jsonl"], "ParseError"),
         (["scan", "5", "50", "--recipes", "RX"], "UnknownRecipe"),
+        (["catalog", "{tmp}/partial.jsonl"], "ParseError"),
+        (["catalog", "{tmp}/array.jsonl"], "ParseError"),
     ],
 )
 def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, error):
     (tmp_path / "malformed.jsonl").write_text('{"q": 13,\n')
+    (tmp_path / "partial.jsonl").write_text('{"oracle_verified": true}\n')
+    (tmp_path / "array.jsonl").write_text("[1, 2]\n")
     code, _, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     assert err.startswith(f"error: {error}: ")
@@ -215,6 +226,61 @@ def test_catalog_reverify(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def _edit_r1_entry(entry, edit):
+    if edit == "family":
+        entry["family"] = [[1, 2, 3]]
+    elif edit == "prediction":
+        entry["predicted_kind"] = "EPDF"
+    elif edit == "field":
+        entry["field"].update(poly=[6, 1], generator=7)
+    elif edit == "certificate":
+        entry["certificate"]["params"]["lambda"] = 99
+    elif edit == "reference":
+        entry["reference"] = [1, 2]
+    elif edit == "no-certificate":
+        entry["certificate"] = None
+    else:  # the hand edit: family, predicted kind and predicted lambda
+        entry.update(family=[[1, 2, 3]], predicted_kind="EPDF")
+        entry["predicted_params"]["lambda"] = 99
+
+
+@pytest.mark.parametrize(
+    "edit, reasons",
+    [
+        ("family", ["family differs from the certificate's sets"]),
+        ("prediction", ["kind SkewPDS != predicted EPDF"]),
+        ("field", ["field differs from the certificate's", "certificate does not recompute from its sets"]),
+        ("certificate", ["certificate does not recompute from its sets", "params {"]),
+        ("reference", ["reference set does not match prediction"]),
+        ("no-certificate", ["no certificate"]),
+        ("hand", ["family differs from the certificate's sets", "kind SkewPDS != predicted EPDF"]),
+    ],
+)
+def test_catalog_checks_entry_against_certificate(tmp_path, capsys, edit, reasons):
+    # an unverified copy is skipped and counted; the edited entry fails with its reasons
+    entry = json.loads(run(capsys, "scan", "13", "13", "--recipes", "R1")[1])
+    _edit_r1_entry(entry, edit)
+    catalog = tmp_path / "cat.jsonl"
+    catalog.write_text(json.dumps(entry) + "\n" + json.dumps(dict(entry, oracle_verified=False)) + "\n")
+    code, out, err = run(capsys, "catalog", str(catalog))
+    assert code == 1
+    head, _, got = out.rstrip("\n").partition(": ")
+    assert head == "FAIL q=13 R1[D]"
+    got = got.split("; ")
+    assert len(got) == len(reasons) and all(g.startswith(r) for g, r in zip(got, reasons))
+    assert "re-verified 1 certificates, 1 failures, 1 skipped" in err
+
+
+def test_catalog_rejects_non_integer_numbers(tmp_path, capsys):
+    # int() in the comparisons would read a stored lambda of 2.5 as 2
+    entry = json.loads(run(capsys, "scan", "13", "13", "--recipes", "R1")[1])
+    entry["certificate"]["params"]["lambda"] = 2.5
+    catalog = tmp_path / "cat.jsonl"
+    catalog.write_text(json.dumps(entry) + "\n")
+    code, _, err = run(capsys, "catalog", str(catalog))
+    assert code == 2 and err.startswith("error: ParseError: ")
+
+
 def test_recipes_dump(capsys):
     code, out, _ = run(capsys, "recipes")
     assert code == 0
@@ -222,3 +288,122 @@ def test_recipes_dump(capsys):
     assert len(lines) == 25
     first = json.loads(lines[0])
     assert first["id"] == "R1" and "conditions" in first and "formulas" in first
+
+
+# ---- fuzzing: bad input exits 2 with a typed error, never a traceback ----
+
+MODES = ["pds", "skew", "ads", "internal", "external"]
+CODES = st.one_of(
+    st.integers(-2, 14),  # GF(13): out of range at both ends, 0 included
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.booleans(),
+    st.text(max_size=2),
+    st.none(),
+    st.lists(st.integers(0, 12), max_size=2),
+)
+JUNK = st.recursive(st.none() | st.booleans() | st.integers() | st.text(max_size=3), st.lists, max_leaves=6)
+
+
+def run_captured(argv):
+    """main's exit code and stderr; safe across Hypothesis examples, unlike capsys."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err, ok_prefix):
+    """Exit 2 with `error: <Type>: ...`, Type a CycloskewError, or a clean 0/1."""
+    if code == 2:
+        name = re.match(r"error: (\w+): ", err)
+        assert name and issubclass(getattr(errors, name.group(1)), errors.CycloskewError), err
+    else:
+        assert code in (0, 1) and err.startswith(ok_prefix), (code, err)
+
+
+def verify_argv(sets_text, mode, reference_text):
+    argv = ["verify", "--p", "13", "--gen", "2", f"--sets={sets_text}", "--mode", mode]
+    return argv + ([f"--reference={reference_text}"] if reference_text is not None else [])
+
+
+@given(
+    sets=st.one_of(
+        st.text(max_size=12),
+        JUNK.map(json.dumps),
+        st.lists(st.lists(CODES, max_size=6), max_size=4).map(json.dumps),
+    ),
+    mode=st.sampled_from(MODES + ["bogus"]),
+    reference=st.none() | st.text(max_size=6) | st.lists(CODES, max_size=6).map(json.dumps),
+)
+@settings(max_examples=150)
+def test_verify_fuzz(sets, mode, reference):
+    assert_clean_exit(*run_captured(verify_argv(sets, mode, reference)), "")
+
+
+@given(data=st.data(), mode=st.sampled_from(MODES), with_reference=st.booleans())
+@settings(max_examples=60)
+def test_verify_fuzz_valid_input(data, mode, with_reference):
+    # distinct codes of GF(13)*, split into disjoint sets: always classified
+    codes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=12, unique=True))
+    cuts = sorted(data.draw(st.lists(st.integers(1, len(codes)), max_size=3)))
+    sets = [codes[a:b] for a, b in zip([0] + cuts, cuts + [len(codes)])]
+    reference = data.draw(st.lists(st.integers(1, 12), max_size=12, unique=True)) if with_reference else None
+    reference_text = None if reference is None else json.dumps(reference)
+    code, err = run_captured(verify_argv(json.dumps(sets), mode, reference_text))
+    assert code in (0, 1) and err == ""
+
+
+@cache
+def _small_catalog() -> tuple[str, ...]:
+    with tempfile.TemporaryDirectory() as tmp:
+        run_captured(["scan", "9", "13", "--certify-cap", "13", "--out", f"{tmp}/cat.jsonl"])
+        return tuple(Path(tmp, "cat.jsonl").read_text().splitlines())
+
+
+@st.composite
+def edited_catalog(draw):
+    """The q in [9, 13] catalog with one line replaced by malformed JSON or
+    a non-entry, an entry with keys missing, or one with a code of its
+    family or of its certificate's sets replaced, duplicated or zeroed."""
+    lines = list(_small_catalog())
+    i = draw(st.integers(0, len(lines) - 1))
+    entry = json.loads(lines[i])
+    how = draw(st.sampled_from(["junk", "keys", "family", "sets", "both"]))
+    if how == "junk":
+        lines[i] = draw(st.text(max_size=8) | (JUNK | st.dictionaries(st.text(max_size=3), JUNK)).map(json.dumps))
+        return lines, how
+    if how == "keys":
+        drop = draw(st.lists(st.sampled_from(sorted(entry)), min_size=1, unique=True))
+        lines[i] = json.dumps({k: v for k, v in entry.items() if k not in drop})
+        return lines, how
+    j = draw(st.integers(0, len(entry["family"]) - 1))
+    s = entry["family"][j]
+    k = draw(st.integers(0, len(s) - 1))
+    new = draw(st.sampled_from(["code", "duplicate", "zero"]))
+    edited = list(s)
+    if new == "code":
+        edited[k] = draw(CODES)
+    elif new == "duplicate":
+        edited.append(s[k])
+    else:
+        edited[k] = 0
+    if how in ("family", "both"):
+        entry["family"][j] = edited
+    if how in ("sets", "both") and entry["certificate"] is not None:
+        entry["certificate"]["sets"][j] = edited
+    lines[i] = json.dumps(entry)
+    return lines, how
+
+
+@given(edit=edited_catalog())
+@settings(max_examples=80)
+def test_catalog_fuzz(edit):
+    lines, how = edit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "cat.jsonl")
+        path.write_text("\n".join(lines) + "\n")
+        code, err = run_captured(["catalog", str(path)])
+    assert_clean_exit(code, err, "# re-verified")
+    if how == "family":  # only the stored family changed: a FAIL line, or a float code rejected
+        assert code in (0, 1) or err.startswith("error: ParseError: ")

@@ -15,6 +15,7 @@ from cycloskew.constructions import (
     Plan,
     Recipe,
     field_facts,
+    prime_powers,
     r24_admissible_gammas,
     r25_admissible_gammas,
 )
@@ -179,6 +180,23 @@ def test_r25_gf25(gf25):
     # the documented gamma = 3 family also certifies directly
     fam = [[1, 2, 3, 4], [8, 11, 19, 22], [9, 13, 17, 21]]
     assert check_family(gf25, fam, "internal").kind == "DPDF"
+
+
+def test_admissible_gammas_match_loops():
+    # the vectorized searches against the per-gamma loops they replaced
+    for q, p, m in prime_powers(5, 2000):
+        if q % 8 not in (1, 5):
+            continue
+        f = build_field(p, m)
+        p4, p2 = classes(f, 4), classes(f, 2)
+        in_sq, out_sq, r25 = [], [], []
+        for g in map(int, p4.members[2]):
+            (in_sq if p2.class_of(f.sub(1, g)) == 0 else out_sq).append(g)
+            if q % 8 == 1 and {p4.class_of(f.sub(1, g)), p4.class_of(f.add(1, g))} == {0, 2}:
+                r25.append(g)
+        assert r24_admissible_gammas(f) == (in_sq, out_sq), q
+        if q % 8 == 1:
+            assert r25_admissible_gammas(f) == r25, q
 
 
 def test_swap_combinator(gf13, gf361):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from functools import cache
 from math import isqrt
@@ -16,13 +17,22 @@ from cycloskew import (
     classes,
     cross_differences,
     diffsets,
+    enumerate_applicable,
     family_external,
     family_internal,
     internal_differences,
     verify_certificate,
 )
 from cycloskew.cli import main
-from cycloskew.errors import ContainsZero, DuplicateElement, InvalidElementCode, NotDisjoint
+from cycloskew.diffsets import certify
+from cycloskew.errors import (
+    ContainsZero,
+    CycloskewError,
+    DuplicateElement,
+    InvalidElementCode,
+    NotDisjoint,
+    UnknownMode,
+)
 
 
 def naive_internal(field, D):
@@ -334,6 +344,42 @@ def test_check_ads_examples(gf13, gf9):
     assert check_ads(gf13, [1, 2, 3, 4]).kind == "None"
 
 
+SQUARES_13 = [1, 3, 4, 9, 10, 12]  # C_0^2 of GF(13); C_0^4 = {1, 3, 9}, C_3^4 = {7, 8, 11}
+KIND_EXAMPLES = [
+    ("PDS", "pds", [SQUARES_13], None),
+    ("SkewPDS", "skew", [[1, 3, 7, 8, 9, 11]], None),
+    ("TrivialSkewPDS", "skew", [SQUARES_13], None),
+    ("ADS", "ads", [[1, 3, 7, 8, 9, 11]], None),
+    ("DDF", "internal", [[1, 3, 9], [7, 8, 11]], None),
+    ("EDF", "external", [[1, 2], [3, 6], [5, 9]], None),
+    ("DPDF", "internal", [[1, 4], [3, 12], [9, 10]], None),
+    ("EPDF", "external", [[1, 4], [3, 12], [9, 10]], None),
+    ("RelativeDPDF", "internal", [[1, 2], [3, 6], [5, 9]], SQUARES_13),
+    ("RelativeEPDF", "external", [[1, 3, 9], [7, 8, 11]], SQUARES_13),
+]
+
+
+def test_kind_examples_cover_every_kind():
+    assert sorted(k for k, *_ in KIND_EXAMPLES) == sorted(diffsets._KIND_MODE)
+
+
+@pytest.mark.parametrize("kind, mode, sets, reference", KIND_EXAMPLES)
+def test_verify_certificate_every_kind(gf13, kind, mode, sets, reference):
+    cert = certify(gf13, mode, sets, reference)
+    assert cert.kind == kind
+    assert verify_certificate(gf13, Certificate.from_json(cert.to_json()))
+    tampered = Certificate.from_json(cert.to_json())
+    tampered.params["lambda"] += 1
+    assert not verify_certificate(gf13, tampered)
+
+
+def test_unknown_mode_is_typed(gf13):
+    with pytest.raises(UnknownMode):
+        certify(gf13, "bogus", [[1, 3, 9]])
+    with pytest.raises(UnknownMode):
+        check_family(gf13, [[1, 3, 9]], "pds")
+
+
 def test_certificate_roundtrip(gf13):
     cert = check_skew_pds(gf13, [1, 3, 7, 8, 9, 11])
     back = Certificate.from_json(cert.to_json())
@@ -427,3 +473,42 @@ def test_transform_guard_falls_back(monkeypatch, gf361, trip):
         fallbacks.clear()
         assert np.array_equal(count(), expect)
         assert any(fallbacks) == (trip != "none")
+
+
+def _classifier_lines(field):
+    """One JSON line per classifier call on edge inputs of the field: the
+    certificate, or the type of the error raised."""
+    q, c2, c4 = field.q, classes(field, 2), classes(field, 4)
+    star, every = list(range(1, q)), list(range(q))
+    sets = [[], [0], star, every, [1], [q - 1], [0, 1], c2.members[0], c2.union(1), [0, *c2.members[0]],
+            c4.union(0, 3), c4.union(0, 1), [0, *c4.union(1, 2)]]
+    families = [[], [[]], [[1]], [star], [[c] for c in star], [[1], [2]], list(c4.members), [c4.members[0]],
+                [c4.members[0], c4.members[3]], [c2.members[0]], [[0, 1]], [[1, 2], [2, 3]],
+                [[int(i), field.mul(2, int(i))] for i in c4.members[0]]]
+    refs = [None, [], star, c2.members[0], c2.members[1], [0, 1]]
+
+    def line(check, *args, **kwargs):
+        try:
+            return json.dumps(check(field, *args, **kwargs).to_json())
+        except CycloskewError as exc:
+            return json.dumps({"error": type(exc).__name__})
+
+    out = [line(check, s) for s in sets for check in (check_pds, check_skew_pds, check_ads)]
+    for fam in families:
+        union = sorted(c for s in fam for c in s)
+        for ref in refs + [union, sorted(set(star) - set(union))]:
+            out += [line(check_family, fam, mode, reference=ref) for mode in ("internal", "external")]
+    return out
+
+
+def test_classifier_outputs_pinned(gf13, gf9, gf25):
+    # every classifier on the edge inputs above and every certificate of
+    # the q <= 400 sweep, byte for byte as recorded before the lambda/mu
+    # split and the mode dispatch were shared
+    lines = [x for f in (gf13, gf9, gf25) for x in _classifier_lines(f)]
+    lines += [json.dumps(c.certificate.to_json()) for c in enumerate_applicable(2, 400, certify_cap=400)]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        1010,
+        "5a3d8a52cfe4070fa27275ed8fa12efdafbaef30b1643d451718a8d98cc7fb9a",
+    )
