@@ -48,6 +48,10 @@ from .diffsets import (
     check_skew_pds,
     family_params,
     internal_differences,
+    json_ints,
+    json_typed,
+    params_from_json,
+    spec_from_json,
     verify_certificate,
 )
 from .errors import (
@@ -409,11 +413,12 @@ def _build_r25(field, facts):
     q = facts.q
     p4 = classes(field, 4)
     gamma = r25_admissible_gammas(field)[0]
-    reps = [int(i) for i in p4.members[0] if int(i) < field.neg(int(i))]
-    fam = tuple(
-        tuple(sorted({i, field.neg(i), field.mul(gamma, i), field.neg(field.mul(gamma, i))}))
-        for i in reps
-    )
+    ones = p4.members[0]
+    reps = ones[ones < field.neg_codes(ones)]
+    # the int32 logs are summed in int64: two logs can pass 2^31
+    gamma_reps = field.exp[(field.log[reps].astype(np.int64) + int(field.log[gamma])) % (q - 1)]
+    orbits = zip(*(c.tolist() for c in (reps, field.neg_codes(reps), gamma_reps, field.neg_codes(gamma_reps))))
+    fam = tuple(tuple(sorted(set(orbit))) for orbit in orbits)
     note = f"gamma={gamma}"
     ks = [len(s) for s in fam]
     plans = _plan("internal", "internal", fam, None, "DPDF", family_params(q, ks, 3, 0), note)
@@ -585,15 +590,18 @@ class Construction:
 
     @staticmethod
     def from_json(d: dict) -> "Construction":
-        """Inverse of to_json.  KeyError, TypeError, ValueError or
-        AttributeError when d does not have the shape of an entry."""
-        fs, ref = d["field"], d["reference"]
-        family = tuple(tuple(s) for s in d["family"])
-        plan = Plan(d["label"], d["mode"], family, None if ref is None else tuple(ref), d["predicted_kind"],
-                    dict(d["predicted_params"]), d["note"])
+        """Inverse of to_json.  ParseError when a value has the wrong JSON
+        type; KeyError, TypeError or AttributeError when d does not have
+        the shape of an entry."""
+        json_typed(d["q"], int, "q")  # not kept: the field spec gives q
+        s = {k: json_typed(d[k], str, k) for k in ("recipe", "label", "mode", "predicted_kind", "note")}
+        family = tuple(tuple(json_ints(f, "family set")) for f in json_typed(d["family"], list, "family"))
+        ref = None if d["reference"] is None else tuple(json_ints(d["reference"], "reference"))
+        plan = Plan(s["label"], s["mode"], family, ref, s["predicted_kind"], params_from_json(d["predicted_params"]),
+                    s["note"])
         cert = None if d["certificate"] is None else Certificate.from_json(d["certificate"])
-        spec = FieldSpec(fs["p"], fs["m"], tuple(fs["poly"]), fs["generator"])
-        return Construction(d["recipe"], plan, spec, cert, d["oracle_verified"], d["suspect"])
+        flags = [json_typed(d[k], bool, k) for k in ("oracle_verified", "suspect")]
+        return Construction(s["recipe"], plan, spec_from_json(d["field"]), cert, *flags)
 
 
 def _match_problem(plan: Plan, cert: Certificate) -> str | None:

@@ -26,7 +26,15 @@ from math import expm1, isqrt, log1p, log2, sqrt
 import numpy as np
 from numpy.fft import irfftn, rfftn
 
-from .errors import ContainsZero, DuplicateElement, IndexOutOfRange, InvalidElementCode, NotDisjoint, UnknownMode
+from .errors import (
+    ContainsZero,
+    DuplicateElement,
+    IndexOutOfRange,
+    InvalidElementCode,
+    NotDisjoint,
+    ParseError,
+    UnknownMode,
+)
 from .field import Field, FieldSpec
 
 _CHUNK = 1 << 20  # ordered pairs per pair-count chunk
@@ -210,19 +218,59 @@ class Certificate:
 
     @staticmethod
     def from_json(d: dict) -> "Certificate":
-        fs = d["field"]
+        """Inverse of to_json.  ParseError when a value has the wrong JSON
+        type; KeyError, TypeError or AttributeError when d does not have
+        the shape of a certificate."""
+        pds_type_args, offset = d.get("pds_type_args"), d.get("translate_offset")
         return Certificate(
-            kind=d["kind"],
-            field=FieldSpec(fs["p"], fs["m"], tuple(fs["poly"]), fs["generator"]),
-            sets=[list(s) for s in d["sets"]],
-            reference_set=None if d["reference_set"] is None else list(d["reference_set"]),
-            params={k: (list(v) if isinstance(v, list) else v) for k, v in d["params"].items()},
-            pds_type=d.get("pds_type"),
-            pds_type_args=None if d.get("pds_type_args") is None else tuple(d["pds_type_args"]),
-            regular=d.get("regular"),
-            trivial=d.get("trivial", False),
-            translate_offset=d.get("translate_offset"),
+            kind=json_typed(d["kind"], str, "kind"),
+            field=spec_from_json(d["field"]),
+            sets=[json_ints(s, "set") for s in json_typed(d["sets"], list, "sets")],
+            reference_set=None if d["reference_set"] is None else json_ints(d["reference_set"], "reference_set"),
+            params=params_from_json(d["params"]),
+            pds_type=json_typed(d.get("pds_type"), (str, type(None)), "pds_type"),
+            pds_type_args=None if pds_type_args is None else tuple(json_ints(pds_type_args, "pds_type_args")),
+            regular=json_typed(d.get("regular"), (bool, type(None)), "regular"),
+            trivial=json_typed(d.get("trivial", False), bool, "trivial"),
+            translate_offset=None if offset is None else json_typed(offset, int, "translate_offset"),
         )
+
+
+# ---- reading entries back from JSON ----
+
+
+def json_typed(value, types, what: str):
+    """value when its exact type is one of types, else ParseError.  The
+    match is exact, so JSON true is not read as the integer 1."""
+    types = types if isinstance(types, tuple) else (types,)
+    if type(value) not in types:
+        raise ParseError(f"{what} is {value!r}, not of type {' or '.join(t.__name__ for t in types)}")
+    return value
+
+
+def json_ints(value, what: str) -> list[int]:
+    """value when it is a JSON array of integers, else ParseError."""
+    if not {*map(type, json_typed(value, list, what))} <= {int}:
+        raise ParseError(f"{what} holds a value that is not an integer")
+    return value
+
+
+def spec_from_json(d: dict) -> FieldSpec:
+    return FieldSpec(
+        json_typed(d["p"], int, "field p"),
+        json_typed(d["m"], int, "field m"),
+        tuple(json_ints(d["poly"], "field poly")),
+        json_typed(d["generator"], int, "field generator"),
+    )
+
+
+def params_from_json(d: dict) -> dict:
+    """Params: ks (the set sizes, see family_params) is an array of
+    integers, every other value an integer."""
+    return {
+        k: json_ints(v, "param ks") if k == "ks" else json_typed(v, int, f"param {k}")
+        for k, v in json_typed(d, dict, "params").items()
+    }
 
 
 def _none_cert(field: Field, sets: list[np.ndarray]) -> Certificate:

@@ -281,6 +281,32 @@ def test_catalog_rejects_non_integer_numbers(tmp_path, capsys):
     assert code == 2 and err.startswith("error: ParseError: ")
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda e: e["field"].update(p="13"),
+        lambda e: e["certificate"]["field"].update(p="13"),
+        lambda e: e["predicted_params"].update({"lambda": "x"}),
+        lambda e: e["predicted_params"].update({"v": [13]}),  # only ks is an array
+        lambda e: e["certificate"]["params"].update({"lambda": True}),
+        lambda e: e["field"].update(poly=[1, "1"]),
+        lambda e: e["certificate"].update(translate_offset="0"),
+        lambda e: e.update(q=[13]),
+        lambda e: e.update(suspect=0),
+        lambda e: e.update(note=None),
+        lambda e: e["certificate"].update(kind=5),
+    ],
+)
+def test_catalog_rejects_wrong_value_types(tmp_path, capsys, edit):
+    # hand edits of the entry that parse as JSON but hold a value of the wrong type
+    entry = json.loads(run(capsys, "scan", "13", "13", "--recipes", "R1")[1])
+    edit(entry)
+    catalog = tmp_path / "cat.jsonl"
+    catalog.write_text(json.dumps(entry) + "\n")
+    code, _, err = run(capsys, "catalog", str(catalog))
+    assert code == 2 and err.startswith("error: ParseError: "), err
+
+
 def test_recipes_dump(capsys):
     code, out, _ = run(capsys, "recipes")
     assert code == 0
@@ -361,15 +387,39 @@ def _small_catalog() -> tuple[str, ...]:
         return tuple(Path(tmp, "cat.jsonl").read_text().splitlines())
 
 
+TYPED = ["13", "", 13, 0, True, False, None, [13], [], {"v": 13}]
+
+
+def leaves(value, path=()):
+    """(path, value) of every value in a JSON document that is not an array or object."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from leaves(item, path + (key,))
+    else:
+        yield path, value
+
+
 @st.composite
 def edited_catalog(draw):
     """The q in [9, 13] catalog with one line replaced by malformed JSON or
-    a non-entry, an entry with keys missing, or one with a code of its
-    family or of its certificate's sets replaced, duplicated or zeroed."""
+    a non-entry, an entry with keys missing, one with a code of its family
+    or of its certificate's sets replaced, duplicated or zeroed, or one
+    with any value replaced by a value of another JSON type."""
     lines = list(_small_catalog())
     i = draw(st.integers(0, len(lines) - 1))
     entry = json.loads(lines[i])
-    how = draw(st.sampled_from(["junk", "keys", "family", "sets", "both"]))
+    how = draw(st.sampled_from(["junk", "keys", "family", "sets", "both", "type"]))
+    if how == "type":
+        # one value anywhere in the entry replaced by one of another JSON type;
+        # an integer is never replaced by null, which translate_offset allows
+        path, old = draw(st.sampled_from(list(leaves(entry))))
+        new = draw(st.sampled_from([v for v in TYPED if type(v) is not type(old) and not (type(old) is int and v is None)]))
+        parent = entry
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = new
+        lines[i] = json.dumps(entry)
+        return lines, "int-type" if type(old) is int else how
     if how == "junk":
         lines[i] = draw(st.text(max_size=8) | (JUNK | st.dictionaries(st.text(max_size=3), JUNK)).map(json.dumps))
         return lines, how
@@ -407,3 +457,5 @@ def test_catalog_fuzz(edit):
     assert_clean_exit(code, err, "# re-verified")
     if how == "family":  # only the stored family changed: a FAIL line, or a float code rejected
         assert code in (0, 1) or err.startswith("error: ParseError: ")
+    if how == "int-type":  # every number in an entry is an integer
+        assert code == 2 and err.startswith("error: ParseError: "), err

@@ -1,8 +1,15 @@
+import itertools
+import json
+from math import gcd
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from cycloskew import build_field, default_poly
+from cycloskew import field as field_module
+from cycloskew.field import _build_tables, _is_irreducible, _is_primitive_poly, factorize, is_prime
 from cycloskew.errors import (
     DivisionByZero,
     FieldTooLarge,
@@ -152,3 +159,153 @@ def test_with_generator_permutation(gf13):
     assert f7.generator == 7
     assert list(f7.exp[:3]) == [1, 7, 10]
     assert sorted(int(g) for g in gf13.generator_codes()) == [2, 6, 7, 11]
+
+
+# ---- field construction ----
+
+GOLDEN_POLYS = json.loads((Path(__file__).parent / "default_poly_golden.json").read_text())
+
+
+def test_default_poly_golden():
+    # recorded before the search was filtered: every (p, m) with m >= 2 and
+    # q <= 6*10^5, and every prime p < 10^4
+    assert len(GOLDEN_POLYS) == 1429
+    for p, m, poly in GOLDEN_POLYS:
+        assert list(default_poly(p, m)) == poly, (p, m)
+
+
+def prime_powers(limit):
+    return [(p, m) for p in range(2, limit + 1) if is_prime(p) for m in range(1, 32) if p**m <= limit]
+
+
+def test_default_poly_is_first_primitive():
+    # no candidate that sorts before the answer passes the full order test,
+    # so the filters in front of it never skip a primitive polynomial
+    for p, m in prime_powers(2000):
+        want = default_poly(p, m)
+        factors = factorize(p**m - 1)
+        assert _is_primitive_poly(want, p, m, factors)
+        for coeffs in itertools.product(range(p), repeat=m):
+            f = coeffs + (1,)
+            if f == want:
+                break
+            assert not _is_primitive_poly(f, p, m, factors), (p, m, f)
+
+
+def has_monic_factor(f, p, degree):
+    # trial division by every monic polynomial of the given degree
+    for low in itertools.product(range(p), repeat=degree):
+        g = list(low) + [1]
+        r = list(f)
+        for k in range(len(r) - 1, degree - 1, -1):
+            c = r[k]
+            for i in range(degree + 1):
+                r[k - degree + i] = (r[k - degree + i] - c * g[i]) % p
+        if not any(r[:degree]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
+def test_irreducibility_test_matches_trial_division(p, m):
+    for coeffs in itertools.product(range(p), repeat=m):
+        f = coeffs + (1,)
+        reducible = any(has_monic_factor(f, p, d) for d in range(1, m // 2 + 1))
+        assert _is_irreducible(f, p, m) == (not reducible), f
+
+
+def scalar_tables(p, m, poly):
+    """The tables by the one-step recurrence x^(k+1) = x * x^k mod poly."""
+    q = p**m
+    exp = np.empty(q - 1, dtype=np.int64)
+    if m == 1:
+        g = (-poly[0]) % p
+        cur = 1
+        for k in range(q - 1):
+            exp[k] = cur
+            cur = cur * g % p
+    else:
+        mults = [p**i for i in range(m)]
+        cur = [0] * m
+        cur[0] = 1
+        for k in range(q - 1):
+            exp[k] = sum(c * mu for c, mu in zip(cur, mults))
+            top = cur[m - 1]
+            new = [(-top * poly[0]) % p]
+            for i in range(1, m):
+                new.append((cur[i - 1] - top * poly[i]) % p)
+            cur = new
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(q - 1, dtype=np.int64)
+    return exp, log
+
+
+def primitive_polys(p, m):
+    factors = factorize(p**m - 1)
+    polys = (coeffs + (1,) for coeffs in itertools.product(range(p), repeat=m))
+    return [f for f in polys if _is_primitive_poly(f, p, m, factors)]
+
+
+@pytest.mark.parametrize(
+    "p, m",
+    [(2, 1), (3, 1), (13, 1), (9973, 1), (2, 2), (2, 5), (2, 10), (2, 13), (3, 2), (3, 3), (3, 5), (3, 9),
+     (5, 2), (5, 4), (7, 3), (7, 4), (11, 3), (101, 2)],
+)
+def test_tables_match_scalar_recurrence(p, m):
+    # every primitive polynomial in small fields, the default one in larger fields
+    polys = primitive_polys(p, m) if p**m <= 125 else [default_poly(p, m)]
+    for poly in polys:
+        exp, log = _build_tables(p, m, poly)
+        want_exp, want_log = scalar_tables(p, m, poly)
+        assert exp.dtype == log.dtype == np.int32
+        assert np.array_equal(exp, want_exp) and np.array_equal(log, want_log), poly
+
+
+def test_tables_in_small_blocks(monkeypatch):
+    # blocks smaller than a doubling step give the same tables, and the
+    # same re-based tables
+    monkeypatch.setattr(field_module, "_BLOCK", 7)
+    for p, m in ((2, 9), (3, 6), (5, 3), (257, 1)):
+        poly = default_poly(p, m)
+        exp, log = _build_tables(p, m, poly)
+        want_exp, want_log = scalar_tables(p, m, poly)
+        assert np.array_equal(exp, want_exp) and np.array_equal(log, want_log)
+        f = build_field(p, m)
+        j = next(j for j in range(5, f.q) if gcd(j, f.q - 1) == 1)
+        g = f.with_generator(int(f.exp[j]))
+        ks = np.arange(f.q - 1) * j % (f.q - 1)
+        assert np.array_equal(g.exp, want_exp[ks]) and np.array_equal(g.log[g.exp], np.arange(f.q - 1))
+
+
+@pytest.mark.parametrize(
+    "p, m, poly",
+    [
+        (3, 2, [1, 0, 1]),  # irreducible, but its root has order 4
+        (3, 2, [1, 2, 1]),  # (x + 1)^2
+        (3, 2, [0, 1, 1]),  # x (x + 1)
+        (2, 4, [1, 1, 1, 1, 1]),  # irreducible, root of order 5
+        (5, 3, [0, 0, 0, 1]),  # x^3
+        (13, 1, [0, 1]),  # x
+        (13, 1, [10, 1]),  # root 3 has order 3
+    ],
+)
+def test_explicit_non_primitive_poly_rejected(p, m, poly):
+    with pytest.raises(NotPrimitivePolynomial):
+        build_field(p, m, poly=poly)
+    if poly[0]:
+        # the tables' own coverage check rejects it too
+        with pytest.raises(NotPrimitivePolynomial):
+            _build_tables(p, m, tuple(poly))
+
+
+def test_tables_are_int32():
+    f = build_field(3, 4)
+    g = f.with_generator(int(f.generator_codes()[1]))
+    for t in (f.exp, f.log, g.exp, g.log):
+        assert t.dtype == np.int32
+    assert np.array_equal(g.log[g.exp], np.arange(f.q - 1))
+
+
+def test_huge_degree_is_rejected_at_once():
+    with pytest.raises(FieldTooLarge):
+        build_field(13, 10**9)
