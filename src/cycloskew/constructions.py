@@ -597,8 +597,8 @@ class Construction:
         s = {k: json_typed(d[k], str, k) for k in ("recipe", "label", "mode", "predicted_kind", "note")}
         family = tuple(tuple(json_ints(f, "family set")) for f in json_typed(d["family"], list, "family"))
         ref = None if d["reference"] is None else tuple(json_ints(d["reference"], "reference"))
-        plan = Plan(s["label"], s["mode"], family, ref, s["predicted_kind"], params_from_json(d["predicted_params"]),
-                    s["note"])
+        params = params_from_json(d["predicted_params"])
+        plan = Plan(s["label"], s["mode"], family, ref, s["predicted_kind"], params, s["note"])
         cert = None if d["certificate"] is None else Certificate.from_json(d["certificate"])
         flags = [json_typed(d[k], bool, k) for k in ("oracle_verified", "suspect")]
         return Construction(s["recipe"], plan, spec_from_json(d["field"]), cert, *flags)

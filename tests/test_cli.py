@@ -413,7 +413,8 @@ def edited_catalog(draw):
         # one value anywhere in the entry replaced by one of another JSON type;
         # an integer is never replaced by null, which translate_offset allows
         path, old = draw(st.sampled_from(list(leaves(entry))))
-        new = draw(st.sampled_from([v for v in TYPED if type(v) is not type(old) and not (type(old) is int and v is None)]))
+        others = [v for v in TYPED if type(v) is not type(old) and not (type(old) is int and v is None)]
+        new = draw(st.sampled_from(others))
         parent = entry
         for key in path[:-1]:
             parent = parent[key]

@@ -206,7 +206,9 @@ def has_monic_factor(f, p, degree):
     return False
 
 
-@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)])
+@pytest.mark.parametrize(
+    "p, m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2)]
+)
 def test_irreducibility_test_matches_trial_division(p, m):
     for coeffs in itertools.product(range(p), repeat=m):
         f = coeffs + (1,)
