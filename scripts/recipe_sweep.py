@@ -2,10 +2,12 @@
 """Certify every applicable recipe over a prime power range and summarize.
 
 Usage:
-    python scripts/recipe_sweep.py [q_max] [--out catalog.jsonl]
+    python scripts/recipe_sweep.py [q_max]
 
 Every construction is checked against the difference multiset oracle;
-the exit code is nonzero if any prediction disagrees.
+the exit code is nonzero if any prediction disagrees.  To write the
+constructions as a catalog, run `cycloskew scan 2 <q_max> --certify-cap
+<q_max> --out catalog.jsonl`, which writes it atomically.
 """
 
 import argparse
@@ -14,13 +16,11 @@ import sys
 import time
 
 from cycloskew import enumerate_applicable
-from cycloskew.cli import construction_entry
 
 
 def run() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("q_max", type=int, nargs="?", default=5000)
-    ap.add_argument("--out", help="also write a JSON-lines catalog")
     args = ap.parse_args()
 
     t0 = time.time()
@@ -35,14 +35,6 @@ def run() -> int:
         head = ", ".join(str(q) for q in qs[:8]) + (", ..." if len(qs) > 8 else "")
         print(f"  {rid:4} {per_recipe[rid]:4d} constructions at q in [{head}]")
     print("certificate kinds:", dict(sorted(per_kind.items())))
-
-    if args.out:
-        import json
-
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            for c in cons:
-                fh.write(json.dumps(construction_entry(c)) + "\n")
-        print(f"wrote {len(cons)} entries to {args.out}")
     return 0
 
 

@@ -188,6 +188,8 @@ def cmd_verify(args) -> int:
             raise ParseError(f"cannot parse reference: {exc}") from exc
         if not isinstance(data, list):
             raise ParseError("reference must be a JSON array of element codes")
+        if data and isinstance(data[0], list) and len(data) > 1:
+            raise ParseError(f"a wrapped reference holds one set, not {len(data)}")
         reference = data[0] if data and isinstance(data[0], list) else data
     cert = certify(field, args.mode, sets, reference)
     print(json.dumps(cert.to_json(), indent=2))
@@ -216,7 +218,7 @@ def cmd_cycnum(args) -> int:
     print(" ".join(f"{k}={v}" for k, v in header.items()))
     show = tables.get("closed-form", tables.get("brute-force"))
     for row in show.counts:
-        print(" ".join(str(int(v)) for v in row))
+        print(" ".join(map(str, row)))
     if args.variant == "compare":
         same = np.array_equal(tables["brute-force"].counts, tables["closed-form"].counts)
         print("MATCH" if same else "MISMATCH")
@@ -229,11 +231,13 @@ def cmd_cycnum(args) -> int:
 
 def _no_float(literal: str):
     """Rejects a non-integer number: every number in a catalog entry is an
-    integer, and the checks pass values through int(), which reads 2.5 as 2."""
+    integer."""
     raise ValueError(f"{literal} is not an integer")
 
 
 def cmd_catalog(args) -> int:
+    if args.limit < 0:
+        raise ParseError(f"--limit is {args.limit}, not a count of entries")
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             lines = [line for line in fh if line.strip()]

@@ -48,7 +48,7 @@ from .diffsets import (
     check_skew_pds,
     family_params,
     internal_differences,
-    json_ints,
+    json_codes,
     json_typed,
     params_from_json,
     spec_from_json,
@@ -82,12 +82,9 @@ class FieldFacts:
     q: int
     p: int
     m: int
-    s: int | None = None
     t: int | None = None
     x: int | None = None
-    y_mag: int | None = None
     a: int | None = None
-    b_mag: int | None = None
     y: int | None = None  # calibrated sign, q = 1 mod 8 only
     b: int | None = None
     two_qr: bool | None = None
@@ -103,12 +100,9 @@ def field_facts(field: Field) -> FieldFacts:
     q, p, m = field.q, field.p, field.m
     facts = FieldFacts(q, p, m)
     if q % 4 == 1:
-        facts.s, facts.t = two_squares_rep(field)
-        facts.x, facts.y_mag = x2_4y2_rep(q, p, m)
-        try:
-            facts.a, facts.b_mag = a2_2b2_rep(q, p, m)
-        except NoRepresentation:
-            pass
+        facts.t = two_squares_rep(field).t
+        facts.x = x2_4y2_rep(q, p, m).x
+        facts.a = _a_value(q, p, m)
         facts.two_qr = two_is_quartic_residue(field)
     if q % 8 == 1:
         table = cyclotomic_numbers_order8(field)
@@ -118,14 +112,16 @@ def field_facts(field: Field) -> FieldFacts:
     return facts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Plan:
-    """One predicted certificate for a built family."""
+    """One predicted certificate for a built family.  The family's sets and
+    the reference are sorted int64 arrays; a family of pairs or quadruples
+    is one 2-D array, a set per row."""
 
     label: str
     mode: str  # "skew" | "internal" | "external"
-    family: tuple[tuple[int, ...], ...]
-    reference: tuple[int, ...] | None
+    family: tuple[np.ndarray, ...] | np.ndarray
+    reference: np.ndarray | None
     kind: str
     params: dict
     note: str = ""
@@ -166,11 +162,7 @@ class Recipe:
 # ---- helpers ----
 
 
-def _u(part: ClassPartition, *idx: int) -> tuple[int, ...]:
-    return tuple(int(c) for c in part.union(*idx))
-
-
-def _mode_total(mode: str, family: tuple[tuple[int, ...], ...]) -> int:
+def _mode_total(mode: str, family) -> int:
     ks = [len(s) for s in family]
     if mode != "external":  # a skew family is one set
         return sum(k * (k - 1) for k in ks)
@@ -283,11 +275,11 @@ def _union_plans(rows: tuple[UnionPlan, ...], note: str, field: Field, facts: Fi
     parts = {e: classes(field, e) for row in rows for e in (row.e, row.ref[0])}
     plans: list[Plan] = []
     for row in rows:
-        family = tuple(_u(parts[row.e], *idx) for idx in row.sets)
+        family = tuple(parts[row.e].union(*idx) for idx in row.sets)
         ref_idx = row.ref[1:] if not row.by_t or facts.t == -2 else tuple(1 - i for i in row.ref[1:])
-        ref = _u(parts[row.ref[0]], *ref_idx)
-        if row.zero:
-            family, ref = (tuple(sorted((0,) + family[0])),), tuple(sorted((0,) + ref))
+        ref = parts[row.ref[0]].union(*ref_idx)
+        if row.zero:  # 0 is below every other code
+            family, ref = (np.concatenate(([0], family[0])),), np.concatenate(([0], ref))
         if row.mode == "skew":
             k, lam, mu = row.params(facts)
             plans += _plan(row.label, "skew", family, ref, "SkewPDS", {"v": q, "k": k, "lambda": lam, "mu": mu})
@@ -339,17 +331,17 @@ def _swapped(params: Callable[[FieldFacts], tuple[int, int]]) -> Callable[[Field
     return lambda f: params(f)[::-1]
 
 
-def _pair_family(field: Field, gamma: int, part4: ClassPartition) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(sorted((int(i), field.mul(gamma, int(i))))) for i in part4.members[0]
-    )
+def _pair_family(field: Field, gamma: int, part4: ClassPartition) -> np.ndarray:
+    """The pairs {i, gamma*i} over i in C_0^4, one sorted row each."""
+    ones = part4.members[0]
+    return np.sort(np.stack([ones, field.mul_codes(ones, gamma)], axis=1), axis=1)
 
 
 def _build_r14(field, facts):
     q, t = facts.q, facts.t
     p4, p2 = classes(field, 4), classes(field, 2)
     fam = _pair_family(field, field.element(2), p4)
-    plans = _plan("internal", "internal", fam, _u(p2, 0), "RelativeDPDF", family_params(q, map(len, fam), 1, 0))
+    plans = _plan("internal", "internal", fam, p2.union(0), "RelativeDPDF", family_params(q, map(len, fam), 1, 0))
     cls2 = p4.class_of(field.element(2))
     if (cls2 == 1 and t == -2) or (cls2 == 3 and t == 2):
         plans += _plan("external", "external", fam, None, "EDF", family_params(q, map(len, fam), (q - 5) // 4))
@@ -358,18 +350,18 @@ def _build_r14(field, facts):
             "external",
             "external",
             fam,
-            _u(p2, 0),
+            p2.union(0),
             "RelativeEPDF",
             family_params(q, map(len, fam), (q - 9) // 4, (q - 1) // 4),
         )
     return plans
 
 
-def r24_admissible_gammas(field: Field) -> tuple[list[int], list[int]]:
+def r24_admissible_gammas(field: Field) -> tuple[np.ndarray, np.ndarray]:
     """Codes gamma in C_2^4 split by whether 1 - gamma is a square."""
     gammas = classes(field, 4).members[2]
     square = classes(field, 2).cls_of[field.sub_codes(1, gammas)] == 0
-    return gammas[square].tolist(), gammas[~square].tolist()
+    return gammas[square], gammas[~square]
 
 
 def _build_r24(field, facts):
@@ -378,7 +370,7 @@ def _build_r24(field, facts):
     in_sq, out_sq = r24_admissible_gammas(field)
     ks = [2] * p4.f  # (q-1)/4 pairs {i, gamma*i}
     plans: list[Plan] = []
-    if in_sq:
+    if len(in_sq):
         fam = _pair_family(field, in_sq[0], p4)
         note = f"gamma={in_sq[0]}, derived branch"
         plans += _plan("in-sq-internal", "internal", fam, None, "DPDF", family_params(q, ks, 1, 0), note)
@@ -391,7 +383,7 @@ def _build_r24(field, facts):
             family_params(q, ks, (q - 9) // 4, (q - 1) // 4),
             note,
         )
-    if out_sq:
+    if len(out_sq):
         fam = _pair_family(field, out_sq[0], p4)
         note = f"gamma={out_sq[0]}"
         plans += _plan("out-sq-internal", "internal", fam, None, "DPDF", family_params(q, ks, 0, 1), note)
@@ -401,12 +393,12 @@ def _build_r24(field, facts):
     return plans
 
 
-def r25_admissible_gammas(field: Field) -> list[int]:
+def r25_admissible_gammas(field: Field) -> np.ndarray:
     """Codes gamma in C_2^4 with one of 1 -+ gamma in C_0^4, the other in C_2^4."""
     p4 = classes(field, 4)
     gammas = p4.members[2]
     u, v = p4.cls_of[field.sub_codes(1, gammas)], p4.cls_of[field.add_codes(1, gammas)]
-    return gammas[((u == 0) & (v == 2)) | ((u == 2) & (v == 0))].tolist()
+    return gammas[((u == 0) & (v == 2)) | ((u == 2) & (v == 0))]
 
 
 def _build_r25(field, facts):
@@ -415,12 +407,11 @@ def _build_r25(field, facts):
     gamma = r25_admissible_gammas(field)[0]
     ones = p4.members[0]
     reps = ones[ones < field.neg_codes(ones)]
-    # the int32 logs are summed in int64: two logs can pass 2^31
-    gamma_reps = field.exp[(field.log[reps].astype(np.int64) + int(field.log[gamma])) % (q - 1)]
-    orbits = zip(*(c.tolist() for c in (reps, field.neg_codes(reps), gamma_reps, field.neg_codes(gamma_reps))))
-    fam = tuple(tuple(sorted(set(orbit))) for orbit in orbits)
+    gamma_reps = field.mul_codes(reps, gamma)
+    # gamma is not -1, which lies in C_0^4, so each orbit has four codes
+    fam = np.sort(np.stack([reps, field.neg_codes(reps), gamma_reps, field.neg_codes(gamma_reps)], axis=1), axis=1)
     note = f"gamma={gamma}"
-    ks = [len(s) for s in fam]
+    ks = [4] * len(fam)
     plans = _plan("internal", "internal", fam, None, "DPDF", family_params(q, ks, 3, 0), note)
     plans += _plan(
         "external", "external", fam, None, "EPDF", family_params(q, ks, (q - 17) // 4, (q - 1) // 4), note
@@ -578,8 +569,8 @@ class Construction:
             "label": self.plan.label,
             "field": self.field.as_dict(),
             "mode": self.plan.mode,
-            "family": [list(s) for s in self.plan.family],
-            "reference": None if self.plan.reference is None else list(self.plan.reference),
+            "family": [s.tolist() for s in self.plan.family],
+            "reference": None if self.plan.reference is None else self.plan.reference.tolist(),
             "predicted_kind": self.plan.kind,
             "predicted_params": dict(self.plan.params),
             "suspect": self.suspect,
@@ -595,8 +586,8 @@ class Construction:
         the shape of an entry."""
         json_typed(d["q"], int, "q")  # not kept: the field spec gives q
         s = {k: json_typed(d[k], str, k) for k in ("recipe", "label", "mode", "predicted_kind", "note")}
-        family = tuple(tuple(json_ints(f, "family set")) for f in json_typed(d["family"], list, "family"))
-        ref = None if d["reference"] is None else tuple(json_ints(d["reference"], "reference"))
+        family = tuple(json_codes(f, "family set") for f in json_typed(d["family"], list, "family"))
+        ref = None if d["reference"] is None else json_codes(d["reference"], "reference")
         params = params_from_json(d["predicted_params"])
         plan = Plan(s["label"], s["mode"], family, ref, s["predicted_kind"], params, s["note"])
         cert = None if d["certificate"] is None else Certificate.from_json(d["certificate"])
@@ -612,12 +603,10 @@ def _match_problem(plan: Plan, cert: Certificate) -> str | None:
             return f"kind {cert.kind} is not a skew PDS"
     elif cert.kind != plan.kind:
         return f"kind {cert.kind} != predicted {plan.kind}"
-    got = {k: (list(v) if isinstance(v, list) else int(v)) for k, v in cert.params.items()}
-    want = {k: (list(v) if isinstance(v, (list, tuple)) else int(v)) for k, v in plan.params.items()}
-    if got != want:
-        return f"params {got} != predicted {want}"
+    if cert.params != plan.params:
+        return f"params {cert.params} != predicted {plan.params}"
     if plan.reference is not None:
-        if cert.reference_set is None or sorted(cert.reference_set) != sorted(plan.reference):
+        if cert.reference_set is None or not np.array_equal(cert.reference_set, plan.reference):
             return "reference set does not match prediction"
     return None
 
@@ -642,7 +631,8 @@ def recheck(con: Construction) -> list[str]:
     problems = []
     if cert.field != fs:
         problems.append("field differs from the certificate's")
-    if cert.sets != [list(s) for s in con.plan.family]:
+    family = con.plan.family
+    if len(cert.sets) != len(family) or not all(map(np.array_equal, cert.sets, family)):
         problems.append("family differs from the certificate's sets")
     if not verify_certificate(build_field(fs.p, fs.m, poly=fs.poly, generator=fs.generator), cert):
         problems.append("certificate does not recompute from its sets")
@@ -681,8 +671,7 @@ def swap_combinator(field: Field, pairs) -> Construction:
         raise DeltaNotConstant(f"lambda - mu differs across pairs: {deltas}")
     ref = np.sort(np.concatenate(as_))
     params = family_params(field.q, map(len, ds), deltas[0] + sum(mus), sum(mus))
-    family = tuple(tuple(d.tolist()) for d in ds)
-    plan = Plan("swap", "internal", family, tuple(ref.tolist()), "RelativeDPDF", params)
+    plan = Plan("swap", "internal", tuple(ds), ref, "RelativeDPDF", params)
     return _certified("swap", plan, field)
 
 

@@ -183,12 +183,15 @@ def family_external(field: Field, family) -> np.ndarray:
 # ---- certificates ----
 
 
-@dataclass
+@dataclass(eq=False)
 class Certificate:
+    """A classifier's verdict.  sets and reference_set are sorted int64
+    arrays in memory and lists of codes in JSON."""
+
     kind: str
     field: FieldSpec
-    sets: list[list[int]]
-    reference_set: list[int] | None
+    sets: list[np.ndarray]
+    reference_set: np.ndarray | None
     params: dict = dc_field(default_factory=dict)
     pds_type: str | None = None
     pds_type_args: tuple[int, int] | None = None
@@ -204,11 +207,9 @@ class Certificate:
         return {
             "kind": self.kind,
             "field": self.field.as_dict(),
-            "sets": [[int(c) for c in s] for s in self.sets],
-            "reference_set": None
-            if self.reference_set is None
-            else [int(c) for c in self.reference_set],
-            "params": {k: (list(v) if isinstance(v, (list, tuple)) else int(v)) for k, v in self.params.items()},
+            "sets": [s.tolist() for s in self.sets],
+            "reference_set": None if self.reference_set is None else self.reference_set.tolist(),
+            "params": dict(self.params),
             "pds_type": self.pds_type,
             "pds_type_args": None if self.pds_type_args is None else list(self.pds_type_args),
             "regular": self.regular,
@@ -225,8 +226,8 @@ class Certificate:
         return Certificate(
             kind=json_typed(d["kind"], str, "kind"),
             field=spec_from_json(d["field"]),
-            sets=[json_ints(s, "set") for s in json_typed(d["sets"], list, "sets")],
-            reference_set=None if d["reference_set"] is None else json_ints(d["reference_set"], "reference_set"),
+            sets=[json_codes(s, "set") for s in json_typed(d["sets"], list, "sets")],
+            reference_set=None if d["reference_set"] is None else json_codes(d["reference_set"], "reference_set"),
             params=params_from_json(d["params"]),
             pds_type=json_typed(d.get("pds_type"), (str, type(None)), "pds_type"),
             pds_type_args=None if pds_type_args is None else tuple(json_ints(pds_type_args, "pds_type_args")),
@@ -255,6 +256,14 @@ def json_ints(value, what: str) -> list[int]:
     return value
 
 
+def json_codes(value, what: str) -> np.ndarray:
+    """value, a JSON array of integers, as an int64 array, else ParseError."""
+    try:
+        return np.array(json_ints(value, what), dtype=np.int64)
+    except OverflowError as exc:
+        raise ParseError(f"{what} holds a code outside int64") from exc
+
+
 def spec_from_json(d: dict) -> FieldSpec:
     return FieldSpec(
         json_typed(d["p"], int, "field p"),
@@ -271,10 +280,6 @@ def params_from_json(d: dict) -> dict:
         k: json_ints(v, "param ks") if k == "ks" else json_typed(v, int, f"param {k}")
         for k, v in json_typed(d, dict, "params").items()
     }
-
-
-def _none_cert(field: Field, sets: list[np.ndarray]) -> Certificate:
-    return Certificate("None", field.spec, [s.tolist() for s in sets], None)
 
 
 def _split(field: Field, prof: np.ndarray, inside: np.ndarray) -> tuple[int, int] | None:
@@ -330,7 +335,7 @@ def _pds_certificate(field: Field, kind: str, d: np.ndarray, ref: np.ndarray, la
     regular = bool(0 not in ref and _is_symmetric(field, ref))
     ptype, pargs = _pds_type(field.q, len(ref), lam, mu, regular)
     params = {"v": field.q, "k": len(d), "lambda": lam, "mu": mu}
-    return Certificate(kind, field.spec, [d.tolist()], ref.tolist(), params, pds_type=ptype, pds_type_args=pargs,
+    return Certificate(kind, field.spec, [d], ref, params, pds_type=ptype, pds_type_args=pargs,
                        regular=regular, trivial=offset is not None, translate_offset=offset)
 
 
@@ -339,7 +344,7 @@ def check_pds(field: Field, A) -> Certificate:
     a = as_element_set(field, A)
     lam_mu = _split(field, internal_differences(field, a), a)
     if lam_mu is None:
-        return _none_cert(field, [a])
+        return Certificate("None", field.spec, [a], None)
     return _pds_certificate(field, "PDS", a, a, *lam_mu)
 
 
@@ -354,7 +359,7 @@ def _translate_offset(field: Field, D: np.ndarray, A: np.ndarray) -> int | None:
         diff = field.sub(field.sum_codes(D), field.sum_codes(A))
         cands = [field.mul(diff, field.inv(field.element(kmod)))]
     else:
-        cands = [int(c) for c in field.sub_codes(D, int(A[0]))]
+        cands = field.sub_codes(D, A[0])
     for cand in cands:
         if np.array_equal(np.sort(field.add_codes(A, cand)), D):
             return int(cand)
@@ -370,7 +375,7 @@ def check_skew_pds(field: Field, D) -> Certificate:
     prof = internal_differences(field, d)
     vals = np.unique(prof[1:])
     if len(vals) != 2:
-        return _none_cert(field, [d])
+        return Certificate("None", field.spec, [d], None)
     for val in vals:
         supp = np.flatnonzero(prof == val)
         supp = supp[supp != 0]
@@ -384,7 +389,7 @@ def check_skew_pds(field: Field, D) -> Certificate:
             offset = _translate_offset(field, d, cand)
             kind = "SkewPDS" if offset is None else "TrivialSkewPDS"
             return _pds_certificate(field, kind, d, cand, int(val), mu, offset)
-    return _none_cert(field, [d])
+    return Certificate("None", field.spec, [d], None)
 
 
 def check_family(field: Field, family, mode: str, reference=None) -> Certificate:
@@ -403,11 +408,10 @@ def check_family(field: Field, family, mode: str, reference=None) -> Certificate
     ks = [len(s) for s in fam]
     vals = np.unique(prof[1:])
     if prof.sum() == 0 or len(vals) > 2:
-        return _none_cert(field, fam)
-    sets = [s.tolist() for s in fam]
+        return Certificate("None", field.spec, fam, None)
     if len(vals) == 1:
         kind = "DDF" if mode == "internal" else "EDF"
-        return Certificate(kind, field.spec, sets, None, family_params(field.q, ks, int(vals[0])))
+        return Certificate(kind, field.spec, fam, None, family_params(field.q, ks, int(vals[0])))
 
     t = union
     if reference is not None:
@@ -416,11 +420,11 @@ def check_family(field: Field, family, mode: str, reference=None) -> Certificate
             raise ContainsZero("reference set must avoid 0")
     lam_mu = _split(field, prof, t)
     if lam_mu is None:
-        return _none_cert(field, fam)
+        return Certificate("None", field.spec, fam, None)
     kind = ("Relative" if reference is not None else "") + ("DPDF" if mode == "internal" else "EPDF")
     comp = None if reference is None else np.setdiff1d(field.nonzero_codes(), union, assume_unique=True)
     trivial = reference is not None and (np.array_equal(t, union) or np.array_equal(t, comp))
-    return Certificate(kind, field.spec, sets, t.tolist(), family_params(field.q, ks, *lam_mu), trivial=trivial)
+    return Certificate(kind, field.spec, fam, t, family_params(field.q, ks, *lam_mu), trivial=trivial)
 
 
 def check_ads(field: Field, D) -> Certificate:
@@ -434,14 +438,14 @@ def check_ads(field: Field, D) -> Certificate:
     elif len(vals) == 2 and vals[1] == vals[0] + 1:
         lam = int(vals[0])
     else:
-        return _none_cert(field, [d])
+        return Certificate("None", field.spec, [d], None)
     t_set = np.flatnonzero(prof == lam)
     t_set = t_set[t_set != 0]
     return Certificate(
         "ADS",
         field.spec,
-        [d.tolist()],
-        t_set.tolist(),
+        [d],
+        t_set,
         {"v": field.q, "k": len(d), "lambda": lam, "t": len(t_set)},
     )
 

@@ -291,6 +291,13 @@ class Field:
     def neg_codes(self, a) -> np.ndarray:
         return self._digitwise(operator.neg, np.asarray(a, dtype=np.int64))
 
+    def mul_codes(self, a, b) -> np.ndarray:
+        """Codes of a * b, elementwise.  The int32 logs are summed in int64:
+        two logs can pass 2^31."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        prod = self.exp[(self.log[a].astype(np.int64) + self.log[b]) % (self.q - 1)]
+        return np.where((a == 0) | (b == 0), 0, prod).astype(np.int64)
+
     def succ_codes(self, a) -> np.ndarray:
         """Codes of x + 1 for an array of codes x (only the constant base-p
         digit changes)."""

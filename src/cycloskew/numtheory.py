@@ -70,6 +70,17 @@ def _norm_1_mod_4(c: int) -> int:
     return c if c % 4 == 1 else -c
 
 
+def _proper_rep(q: int, p: int, k: int, form: str) -> tuple[int, int]:
+    """(c, y) with q = c^2 + k y^2 for the first odd c <= sqrt(q) that p
+    does not divide, c normalized to 1 mod 4 and y >= 0; NoRepresentation
+    when there is none."""
+    for c in range(1, isqrt(q) + 1, 2):
+        y = isqrt((q - c * c) // k)
+        if c % p and k * y * y == q - c * c:
+            return _norm_1_mod_4(c), y
+    raise NoRepresentation(f"{q} has no proper {form} representation")
+
+
 def two_squares_rep(field: Field) -> QuadRepST:
     """q = s^2 + t^2 with the classical sign conventions.
 
@@ -84,23 +95,15 @@ def two_squares_rep(field: Field) -> QuadRepST:
         raise NotOneMod4(f"q = {q} is not 1 mod 4")
     if p % 4 == 3:
         return QuadRepST((-p) ** (m // 2), 0)
-    for c in range(1, isqrt(q) + 1, 2):
-        if c % p == 0:
-            continue
-        r = q - c * c
-        t0 = isqrt(r)
-        if t0 * t0 != r:
-            continue
-        s = _norm_1_mod_4(c)
-        i = int(field.exp[(q - 1) // 4])
-        if i >= p:
-            # the primitive 4th root of unity must lie in the prime subfield
-            raise CycloskewError(f"g^((q-1)/4) = code {i} is outside GF({p})")
-        for t in (t0, -t0):
-            if (t * i - s) % p == 0:
-                return QuadRepST(s, t)
-        raise CycloskewError("no sign of t satisfies the defining congruence")
-    raise NoRepresentation(f"{q} has no proper two-squares representation")
+    s, t0 = _proper_rep(q, p, 1, "two-squares")
+    i = int(field.exp[(q - 1) // 4])
+    if i >= p:
+        # the primitive 4th root of unity must lie in the prime subfield
+        raise CycloskewError(f"g^((q-1)/4) = code {i} is outside GF({p})")
+    for t in (t0, -t0):
+        if (t * i - s) % p == 0:
+            return QuadRepST(s, t)
+    raise CycloskewError("no sign of t satisfies the defining congruence")
 
 
 def x2_4y2_rep(q: int, p: int, m: int) -> QuadRepXY:
@@ -112,16 +115,7 @@ def x2_4y2_rep(q: int, p: int, m: int) -> QuadRepXY:
     if q % 4 != 1:
         raise NoRepresentation(f"q = {q} is not 1 mod 4")
     if p % 4 == 1:
-        for c in range(1, isqrt(q) + 1, 2):
-            if c % p == 0:
-                continue
-            r = q - c * c
-            if r % 4:
-                continue
-            y = isqrt(r // 4)
-            if 4 * y * y == r:
-                return QuadRepXY(_norm_1_mod_4(c), y)
-        raise NoRepresentation(f"{q} has no proper x^2+4y^2 representation")
+        return QuadRepXY(*_proper_rep(q, p, 4, "x^2+4y^2"))
     return QuadRepXY(_norm_1_mod_4(p ** (m // 2)), 0)
 
 
@@ -133,14 +127,7 @@ def a2_2b2_rep(q: int, p: int, m: int) -> QuadRepAB:
     applicability predicates stay deterministic.
     """
     if p % 8 in (1, 3):
-        for c in range(1, isqrt(q) + 1, 2):
-            if c % p == 0:
-                continue
-            r = q - c * c
-            b = isqrt(r // 2)
-            if 2 * b * b == r:
-                return QuadRepAB(_norm_1_mod_4(c), b)
-        raise NoRepresentation(f"{q} has no proper a^2+2b^2 representation")
+        return QuadRepAB(*_proper_rep(q, p, 2, "a^2+2b^2"))
     if m % 2 == 0:
         return QuadRepAB(_norm_1_mod_4(p ** (m // 2)), 0)
     raise NoRepresentation(f"{q} is not representable as a^2 + 2b^2")

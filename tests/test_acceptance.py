@@ -174,12 +174,12 @@ def test_criterion_3_worked_examples():
     # GF(13), both generators
     f13 = build_field(13, 1, generator=2)
     c = check_skew_pds(f13, [1, 3, 7, 8, 9, 11])
-    assert c.kind == "SkewPDS" and c.reference_set == [1, 3, 4, 9, 10, 12]
+    assert c.kind == "SkewPDS" and c.reference_set.tolist() == [1, 3, 4, 9, 10, 12]
     assert (c.params["v"], c.params["k"], c.params["lambda"], c.params["mu"]) == (13, 6, 2, 3)
     _collect_skew_cert(f13, c)
     f13b = build_field(13, 1, generator=7)
     c = check_skew_pds(f13b, [1, 2, 3, 5, 6, 9])
-    assert c.kind == "SkewPDS" and c.reference_set == [2, 5, 6, 7, 8, 11]
+    assert c.kind == "SkewPDS" and c.reference_set.tolist() == [2, 5, 6, 7, 8, 11]
     _collect_skew_cert(f13b, c)
 
     # GF(9): Latin square PDS, skew Paley, unequal-size EPDF
@@ -190,7 +190,7 @@ def test_criterion_3_worked_examples():
     f9b = build_field(3, 2, poly=[2, 2, 1])
     skew9 = check_skew_pds(f9b, [1, 3, 4, 6])  # {1, a, a+1, 2a}
     assert skew9.ok and skew9.params == {"v": 9, "k": 4, "lambda": 1, "mu": 2}
-    assert skew9.reference_set == [int(x) for x in classes(f9b, 2).members[0]]
+    assert skew9.reference_set.tolist() == [int(x) for x in classes(f9b, 2).members[0]]
     _collect_skew_cert(f9b, skew9)
     epdf = apply(get_recipe("R23"), f9)[0].certificate
     assert epdf.kind == "RelativeEPDF"
@@ -398,7 +398,7 @@ def test_criterion_6b_quartic_union_never_pds_mod8():
         assert pds.params == {"v": v, "k": k, "lambda": lam, "mu": mu}, q
         assert pds.regular and pds.pds_type == "Paley", q
         assert skew.kind == "TrivialSkewPDS" and skew.translate_offset == 0, q
-        assert skew.reference_set == [int(c) for c in d], q
+        assert skew.reference_set.tolist() == [int(c) for c in d], q
         n_paley += 1
     assert (n_fields, n_none, n_paley) == (84, 75, 9)
     _report(
@@ -443,7 +443,7 @@ def test_criterion_6c_complement_law():
             "lambda": v - 2 * k + mu,
             "mu": v - 2 * k + lam,
         }
-        assert comp_cert.reference_set == sorted(set(range(f.q)) - set(cert.reference_set))
+        assert comp_cert.reference_set.tolist() == sorted(set(range(f.q)) - set(cert.reference_set))
         checked += 1
     assert checked >= 25
     _report(

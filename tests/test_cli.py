@@ -198,12 +198,16 @@ def test_scan_mismatch_leaves_no_catalog(tmp_path, capsys, monkeypatch):
         (["scan", "5", "50", "--recipes", "RX"], "UnknownRecipe"),
         (["catalog", "{tmp}/partial.jsonl"], "ParseError"),
         (["catalog", "{tmp}/array.jsonl"], "ParseError"),
+        (["verify", "--p", "13", "--sets", "[[1, 3, 9], [7, 8, 11]]", "--mode", "external",
+          "--reference", "[[1, 3, 4, 9, 10, 12], [2, 5]]"], "ParseError"),
+        (["catalog", "{tmp}/one.jsonl", "--limit", "-1"], "ParseError"),
     ],
 )
 def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, error):
     (tmp_path / "malformed.jsonl").write_text('{"q": 13,\n')
     (tmp_path / "partial.jsonl").write_text('{"oracle_verified": true}\n')
     (tmp_path / "array.jsonl").write_text("[1, 2]\n")
+    run(capsys, "scan", "13", "13", "--recipes", "R1", "--out", str(tmp_path / "one.jsonl"))
     code, _, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     assert err.startswith(f"error: {error}: ")
@@ -272,7 +276,7 @@ def test_catalog_checks_entry_against_certificate(tmp_path, capsys, edit, reason
 
 
 def test_catalog_rejects_non_integer_numbers(tmp_path, capsys):
-    # int() in the comparisons would read a stored lambda of 2.5 as 2
+    # every number in an entry is an integer: a stored lambda of 2.5 is rejected
     entry = json.loads(run(capsys, "scan", "13", "13", "--recipes", "R1")[1])
     entry["certificate"]["params"]["lambda"] = 2.5
     catalog = tmp_path / "cat.jsonl"

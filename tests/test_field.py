@@ -130,6 +130,16 @@ def test_vectorized_matches_scalar(gf81):
     )
 
 
+@pytest.mark.parametrize("p, m", [(13, 1), (3, 4), (2, 7)])
+def test_mul_codes_matches_scalar(p, m):
+    f = build_field(p, m)
+    codes = np.arange(f.q)
+    for b in range(1, f.q):
+        got = f.mul_codes(codes, b)
+        assert got.dtype == np.int64
+        assert got.tolist() == [f.mul(a, b) for a in range(f.q)], b
+
+
 @given(st.integers(0, 360), st.integers(0, 360), st.integers(0, 360))
 def test_field_axioms_gf361(a, b, c):
     f = build_field(19, 2)
