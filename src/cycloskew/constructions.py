@@ -49,8 +49,11 @@ from .diffsets import (
     family_params,
     internal_differences,
     json_codes,
+    json_sets,
     json_typed,
     params_from_json,
+    set_sizes,
+    sets_json,
     spec_from_json,
     verify_certificate,
 )
@@ -115,7 +118,8 @@ def field_facts(field: Field) -> FieldFacts:
 @dataclass(frozen=True, eq=False)
 class Plan:
     """One predicted certificate for a built family.  The family's sets and
-    the reference are sorted int64 arrays; a family of pairs or quadruples
+    the reference are sorted int64 arrays; a family of pairs or quadruples,
+    and a family read back from JSON whose sets share one non-zero size,
     is one 2-D array, a set per row."""
 
     label: str
@@ -163,11 +167,10 @@ class Recipe:
 
 
 def _mode_total(mode: str, family) -> int:
-    ks = [len(s) for s in family]
+    ks = np.array(set_sizes(family), dtype=np.int64)
     if mode != "external":  # a skew family is one set
-        return sum(k * (k - 1) for k in ks)
-    s = sum(ks)
-    return s * s - sum(k * k for k in ks)
+        return int((ks * (ks - 1)).sum())
+    return int(ks.sum() ** 2 - (ks * ks).sum())
 
 
 def _plan(label, mode, family, reference, kind, params, note="") -> list[Plan]:
@@ -341,10 +344,10 @@ def _build_r14(field, facts):
     q, t = facts.q, facts.t
     p4, p2 = classes(field, 4), classes(field, 2)
     fam = _pair_family(field, field.element(2), p4)
-    plans = _plan("internal", "internal", fam, p2.union(0), "RelativeDPDF", family_params(q, map(len, fam), 1, 0))
+    plans = _plan("internal", "internal", fam, p2.union(0), "RelativeDPDF", family_params(q, set_sizes(fam), 1, 0))
     cls2 = p4.class_of(field.element(2))
     if (cls2 == 1 and t == -2) or (cls2 == 3 and t == 2):
-        plans += _plan("external", "external", fam, None, "EDF", family_params(q, map(len, fam), (q - 5) // 4))
+        plans += _plan("external", "external", fam, None, "EDF", family_params(q, set_sizes(fam), (q - 5) // 4))
     else:
         plans += _plan(
             "external",
@@ -352,7 +355,7 @@ def _build_r14(field, facts):
             fam,
             p2.union(0),
             "RelativeEPDF",
-            family_params(q, map(len, fam), (q - 9) // 4, (q - 1) // 4),
+            family_params(q, set_sizes(fam), (q - 9) // 4, (q - 1) // 4),
         )
     return plans
 
@@ -569,7 +572,7 @@ class Construction:
             "label": self.plan.label,
             "field": self.field.as_dict(),
             "mode": self.plan.mode,
-            "family": [s.tolist() for s in self.plan.family],
+            "family": sets_json(self.plan.family),
             "reference": None if self.plan.reference is None else self.plan.reference.tolist(),
             "predicted_kind": self.plan.kind,
             "predicted_params": dict(self.plan.params),
@@ -586,7 +589,7 @@ class Construction:
         the shape of an entry."""
         json_typed(d["q"], int, "q")  # not kept: the field spec gives q
         s = {k: json_typed(d[k], str, k) for k in ("recipe", "label", "mode", "predicted_kind", "note")}
-        family = tuple(json_codes(f, "family set") for f in json_typed(d["family"], list, "family"))
+        family = json_sets(d["family"], "family", "family set")
         ref = None if d["reference"] is None else json_codes(d["reference"], "reference")
         params = params_from_json(d["predicted_params"])
         plan = Plan(s["label"], s["mode"], family, ref, s["predicted_kind"], params, s["note"])
@@ -621,20 +624,25 @@ def _certified(recipe_id: str, plan: Plan, field: Field, suspect: bool = False) 
     return Construction(recipe_id, plan, field.spec, cert, True, suspect)
 
 
-def recheck(con: Construction) -> list[str]:
+def recheck(con: Construction, field: Field) -> list[str]:
     """Why a construction read back from a catalog no longer holds: its
     certificate must be over its field, hold its family, recompute from
-    its own sets and still match its prediction.  Empty when it holds."""
+    its own sets in field (the field con.field defines) and still match
+    its prediction.  Empty when it holds."""
     cert, fs = con.certificate, con.field
     if cert is None:
         return ["no certificate"]
     problems = []
     if cert.field != fs:
         problems.append("field differs from the certificate's")
-    family = con.plan.family
-    if len(cert.sets) != len(family) or not all(map(np.array_equal, cert.sets, family)):
+    family, sets = con.plan.family, cert.sets
+    if isinstance(family, np.ndarray) and isinstance(sets, np.ndarray):
+        same = np.array_equal(sets, family)
+    else:
+        same = len(sets) == len(family) and all(map(np.array_equal, sets, family))
+    if not same:
         problems.append("family differs from the certificate's sets")
-    if not verify_certificate(build_field(fs.p, fs.m, poly=fs.poly, generator=fs.generator), cert):
+    if not verify_certificate(field, cert):
         problems.append("certificate does not recompute from its sets")
     mismatch = _match_problem(con.plan, cert)
     return problems if mismatch is None else problems + [mismatch]

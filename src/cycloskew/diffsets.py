@@ -21,6 +21,7 @@ exact integers; there are no tolerances anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 from math import expm1, isqrt, log1p, log2, sqrt
 
 import numpy as np
@@ -140,30 +141,50 @@ def cross_differences(field: Field, D1, D2) -> np.ndarray:
     return diff_counts(field, as_element_set(field, D1), as_element_set(field, D2))
 
 
-def _validated_family(field: Field, family) -> tuple[list[np.ndarray], np.ndarray]:
-    """The family's sets and their sorted union."""
-    fam = [as_element_set(field, s) for s in family]
-    if any(len(s) and s[0] == 0 for s in fam):
+def _validated_family(field: Field, family) -> tuple[np.ndarray | list[np.ndarray], np.ndarray]:
+    """The family's sets and their sorted union.  A 2-D integer array is a
+    family of one set per row and is checked in one pass, with its rows
+    sorted: a code out of range raises first, then a repeated code within
+    a row, then 0 in a row, then a code shared by two rows.  Any other
+    family is checked set by set, then for 0 and disjointness."""
+    if isinstance(family, np.ndarray) and family.ndim == 2:
+        if family.dtype.kind not in "iu" and family.size:
+            raise InvalidElementCode("element codes must be integers, not bool, float, str or nested")
+        fam = family.astype(np.int64)  # a copy: the caller's array is never sorted
+        fam.sort(axis=1)
+        if fam.size and (fam[:, 0].min() < 0 or fam[:, -1].max() >= field.q):
+            raise IndexOutOfRange(f"element code out of range [0, {field.q})")
+        if np.count_nonzero(fam[:, 1:] == fam[:, :-1]):
+            raise DuplicateElement("set contains a repeated element")
+        allc = fam.ravel()
+    else:
+        fam = [as_element_set(field, s) for s in family]
+        allc = np.concatenate(fam) if fam else np.empty(0, dtype=np.int64)
+    union = np.sort(allc)  # np.unique hashes, and is far slower on many codes
+    if len(union) and union[0] == 0:
         raise ContainsZero("family sets must avoid 0")
-    allc = np.concatenate(fam) if fam else np.empty(0, dtype=np.int64)
-    union = np.unique(allc)
-    if len(union) != len(allc):
+    if np.count_nonzero(union[1:] == union[:-1]):
         raise NotDisjoint("family sets are not pairwise disjoint")
     return fam, union
 
 
-def _family_profile(field: Field, fam: list[np.ndarray], union: np.ndarray, mode: str) -> np.ndarray:
+def _family_profile(field: Field, fam: np.ndarray | list[np.ndarray], union: np.ndarray, mode: str) -> np.ndarray:
     """Int or Ext of a validated family.  Sets of at most q pairs are
-    stacked by size into one pair count, larger ones get a transform each.
-    Ext is Delta(union) minus the sum of Delta(D_i): the zero hits of the
-    two cancel."""
-    groups: dict[int, list[np.ndarray]] = {}
-    for s in fam:
-        groups.setdefault(len(s), []).append(s)
-    counts = _pair_counts(field, [(np.stack(g),) * 2 for k, g in groups.items() if k * k <= field.q])
-    for s in fam:
-        if len(s) * len(s) > field.q:
-            counts += diff_counts(field, s, s)
+    stacked by size into one pair count (a 2-D family is one such block),
+    larger ones get a transform each.  Ext is Delta(union) minus the sum
+    of Delta(D_i): the zero hits of the two cancel."""
+    if isinstance(fam, np.ndarray):
+        small = [fam] if fam.shape[1] ** 2 <= field.q else []
+        large = [] if small else fam
+    else:
+        groups: dict[int, list[np.ndarray]] = {}
+        for s in fam:
+            groups.setdefault(len(s), []).append(s)
+        small = [np.stack(g) for k, g in groups.items() if k * k <= field.q]
+        large = [s for s in fam if len(s) * len(s) > field.q]
+    counts = _pair_counts(field, [(X, X) for X in small])
+    for s in large:
+        counts += diff_counts(field, s, s)
     if mode == "internal":
         counts[0] = 0
         return counts
@@ -186,11 +207,12 @@ def family_external(field: Field, family) -> np.ndarray:
 @dataclass(eq=False)
 class Certificate:
     """A classifier's verdict.  sets and reference_set are sorted int64
-    arrays in memory and lists of codes in JSON."""
+    arrays in memory and lists of codes in JSON; sets is one 2-D array
+    when the family was given as one."""
 
     kind: str
     field: FieldSpec
-    sets: list[np.ndarray]
+    sets: np.ndarray | list[np.ndarray] | tuple[np.ndarray, ...]
     reference_set: np.ndarray | None
     params: dict = dc_field(default_factory=dict)
     pds_type: str | None = None
@@ -207,7 +229,7 @@ class Certificate:
         return {
             "kind": self.kind,
             "field": self.field.as_dict(),
-            "sets": [s.tolist() for s in self.sets],
+            "sets": sets_json(self.sets),
             "reference_set": None if self.reference_set is None else self.reference_set.tolist(),
             "params": dict(self.params),
             "pds_type": self.pds_type,
@@ -226,7 +248,7 @@ class Certificate:
         return Certificate(
             kind=json_typed(d["kind"], str, "kind"),
             field=spec_from_json(d["field"]),
-            sets=[json_codes(s, "set") for s in json_typed(d["sets"], list, "sets")],
+            sets=json_sets(d["sets"], "sets", "set"),
             reference_set=None if d["reference_set"] is None else json_codes(d["reference_set"], "reference_set"),
             params=params_from_json(d["params"]),
             pds_type=json_typed(d.get("pds_type"), (str, type(None)), "pds_type"),
@@ -264,6 +286,18 @@ def json_codes(value, what: str) -> np.ndarray:
         raise ParseError(f"{what} holds a code outside int64") from exc
 
 
+def json_sets(value, what: str, set_what: str) -> np.ndarray | tuple[np.ndarray, ...]:
+    """value, a JSON array of sets of integers, as one 2-D int64 array
+    when every set has the same non-zero size, else as a tuple of int64
+    arrays; ParseError when a value has the wrong JSON type."""
+    sets = json_typed(value, list, what)
+    if {*map(type, sets)} <= {list}:
+        sizes = {*map(len, sets)}
+        if len(sizes) == 1 and 0 not in sizes:
+            return json_codes(list(chain.from_iterable(sets)), set_what).reshape(len(sets), -1)
+    return tuple(json_codes(s, set_what) for s in sets)
+
+
 def spec_from_json(d: dict) -> FieldSpec:
     return FieldSpec(
         json_typed(d["p"], int, "field p"),
@@ -294,6 +328,16 @@ def _split(field: Field, prof: np.ndarray, inside: np.ndarray) -> tuple[int, int
         return None
     lam = int(lam_vals[0] if len(lam_vals) else mu_vals[0])
     return lam, int(mu_vals[0]) if len(mu_vals) else lam
+
+
+def set_sizes(family) -> list[int]:
+    """The sizes of the family's sets; a 2-D family's are read off its shape."""
+    return [family.shape[1]] * len(family) if isinstance(family, np.ndarray) else [len(s) for s in family]
+
+
+def sets_json(family) -> list[list[int]]:
+    """The family's sets as lists of codes, one tolist() for a 2-D family."""
+    return family.tolist() if isinstance(family, np.ndarray) else [s.tolist() for s in family]
 
 
 def family_params(q: int, ks, lam: int, mu: int | None = None) -> dict:
@@ -405,7 +449,7 @@ def check_family(field: Field, family, mode: str, reference=None) -> Certificate
         raise UnknownMode(f"unknown family mode {mode!r}")
     fam, union = _validated_family(field, family)
     prof = _family_profile(field, fam, union, mode)
-    ks = [len(s) for s in fam]
+    ks = set_sizes(fam)
     vals = np.unique(prof[1:])
     if prof.sum() == 0 or len(vals) > 2:
         return Certificate("None", field.spec, fam, None)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cycloskew.cli
 import cycloskew.constructions
 from cycloskew import errors
 from cycloskew.cli import main, table1_rows, table2_rows
@@ -228,6 +229,17 @@ def test_catalog_reverify(tmp_path, capsys):
     code, out, err = run(capsys, "catalog", str(catalog))
     assert code == 1
     assert "FAIL" in out
+
+
+def test_catalog_builds_each_field_once(tmp_path, capsys, monkeypatch):
+    catalog = tmp_path / "cat.jsonl"
+    run(capsys, "scan", "5", "50", "--certify-cap", "50", "--out", str(catalog))
+    qs = [json.loads(line)["q"] for line in catalog.read_text().splitlines()]
+    built, real_build = [], cycloskew.cli.build_field
+    monkeypatch.setattr(cycloskew.cli, "build_field", lambda *a, **kw: built.append(a) or real_build(*a, **kw))
+    code, _, err = run(capsys, "catalog", str(catalog))
+    assert code == 0 and "re-verified %d certificates, 0 failures" % len(qs) in err
+    assert len(built) == len(set(qs)) < len(qs)
 
 
 def _edit_r1_entry(entry, edit):

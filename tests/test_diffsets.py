@@ -24,11 +24,13 @@ from cycloskew import (
     verify_certificate,
 )
 from cycloskew.cli import main
+from cycloskew.constructions import Construction, apply, get_recipe, recheck
 from cycloskew.diffsets import certify
 from cycloskew.errors import (
     ContainsZero,
     CycloskewError,
     DuplicateElement,
+    IndexOutOfRange,
     InvalidElementCode,
     NotDisjoint,
     UnknownMode,
@@ -369,7 +371,7 @@ def test_verify_certificate_every_kind(gf13, kind, mode, sets, reference):
     assert cert.kind == kind
     back = Certificate.from_json(cert.to_json())
     for c in (cert, back):  # sorted int64 arrays in memory, lists only in JSON
-        for s in c.sets + ([] if c.reference_set is None else [c.reference_set]):
+        for s in [*c.sets, *([] if c.reference_set is None else [c.reference_set])]:
             assert s.dtype == np.int64 and (np.diff(s) > 0).all()
     assert verify_certificate(gf13, back)
     tampered = Certificate.from_json(cert.to_json())
@@ -435,6 +437,96 @@ def test_kernels_match_naive_pair_count(p, m, data):
         pool = np.setdiff1d(pool, family[-1], assume_unique=True)
     for mode, kernel in (("internal", family_internal), ("external", family_external)):
         assert np.array_equal(kernel(f, family), naive_family(f, family, mode))
+
+
+# k^2 <= q takes the stacked pair count, k^2 > q a transform per set
+FAMILY_FIELDS = [(13, 1), (2, 4), (5, 2), (3, 4), (97, 1)]
+
+
+@st.composite
+def rectangular_family(draw):
+    """A field and a disjoint family of equal-size sets avoiding 0 as an
+    (n, k) integer array, its rows unsorted; k on either side of isqrt(q)."""
+    f = _diff_field(*draw(st.sampled_from(FAMILY_FIELDS)))
+    k = draw(st.integers(1, min(f.q - 1, 2 * isqrt(f.q) + 1)))
+    n = draw(st.integers(0, min(8, (f.q - 1) // k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.permutation(np.arange(1, f.q))[: n * k]
+    return f, codes.reshape(n, k).astype(draw(st.sampled_from([np.int64, np.int32, np.uint16])))
+
+
+@given(data=st.data())
+def test_family_array_matches_its_rows(data):
+    f, fam = data.draw(rectangular_family())
+    rows, given = list(fam), fam.copy()
+    union = np.sort(fam.ravel())
+    some = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random(f.q) < 0.5
+    some[0] = False
+    complement = np.setdiff1d(np.arange(1, f.q), union)
+    reference = data.draw(st.sampled_from([None, union, complement, np.flatnonzero(some)]))
+    for mode, kernel in (("internal", family_internal), ("external", family_external)):
+        counts = kernel(f, fam)
+        assert np.array_equal(counts, kernel(f, rows))
+        assert np.array_equal(counts, naive_family(f, rows, mode))
+        cert = check_family(f, fam, mode, reference=reference)
+        assert cert.to_json() == check_family(f, rows, mode, reference=reference).to_json()
+        assert cert.sets.shape == fam.shape and cert.sets.dtype == np.int64
+    assert np.array_equal(fam, given)  # the caller's array is not sorted in place
+
+
+def _family_error(check, f, family):
+    try:
+        check(f, family)
+    except CycloskewError as exc:
+        return type(exc)
+    return None
+
+
+@given(data=st.data())
+def test_family_array_defects_match_its_rows(data):
+    f, fam = data.draw(rectangular_family())
+    fam = fam.astype(np.int64)
+    n, k = fam.shape
+    defects = ["high", "negative", "float", "bool"] if n else []
+    defects += ["repeat"] * (n > 0 and k > 1) + ["zero"] * (n > 0) + ["shared"] * (n > 1)
+    if not defects:
+        return
+    defect = data.draw(st.sampled_from(defects))
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, k - 1))
+    expect = {"high": IndexOutOfRange, "negative": IndexOutOfRange, "float": InvalidElementCode,
+              "bool": InvalidElementCode, "repeat": DuplicateElement, "zero": ContainsZero,
+              "shared": NotDisjoint}[defect]
+    if defect in ("high", "negative", "zero"):
+        fam[i, j] = {"high": f.q, "negative": -1, "zero": 0}[defect]
+    elif defect == "repeat":
+        fam[i, j] = fam[i, (j + 1) % k]
+    elif defect == "shared":
+        fam[i, j] = fam[(i + 1) % n, data.draw(st.integers(0, k - 1))]
+    else:
+        fam = fam.astype(float if defect == "float" else bool)
+    for check in (family_internal, family_external, lambda f, s: check_family(f, s, "internal")):
+        assert _family_error(check, f, fam) == _family_error(check, f, list(fam)) == expect
+
+
+def test_family_array_error_precedence(gf13):
+    # range, then repeats within a row, then 0, then disjointness
+    for fam, expect in [([[13, 0], [2, 2]], IndexOutOfRange), ([[0, 1], [2, 2]], DuplicateElement),
+                        ([[0, 1], [1, 2]], ContainsZero), ([[3, 1], [1, 2]], NotDisjoint)]:
+        with pytest.raises(expect):
+            family_internal(gf13, np.array(fam))
+
+
+def test_r24_construction_roundtrip_is_an_array(gf13):
+    con = next(c for c in apply(get_recipe("R24"), gf13) if c.plan.label == "in-sq-external")
+    back = Construction.from_json(json.loads(json.dumps(con.to_json())))
+    assert back.to_json() == con.to_json()
+    for fam in (back.plan.family, back.certificate.sets):
+        assert isinstance(fam, np.ndarray) and fam.shape == (3, 2) and fam.dtype == np.int64
+    fs = back.field
+    field = build_field(fs.p, fs.m, poly=fs.poly, generator=fs.generator)
+    assert recheck(back, field) == []
+    back.plan.family[0, 0] = back.plan.family[1, 0]
+    assert "family differs from the certificate's sets" in recheck(back, field)
 
 
 @pytest.mark.parametrize("trip", ["none", "residual", "sum", "bound"])
