@@ -10,7 +10,8 @@ Subcommands:
   catalog  re-verify a previously written catalog: each oracle-verified
            entry's certificate must be over its field, hold its family,
            recompute from its sets and match its prediction; the other
-           entries are counted as skipped
+           entries are counted as skipped.  Each line is parsed and
+           checked as it is read, and --limit N reads only N entries
 
 Exit code 0 means success everywhere; verification failures and row
 mismatches exit 1, and bad input exits 2 with a typed error.  scan writes
@@ -25,6 +26,7 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 
@@ -235,22 +237,31 @@ def _no_float(literal: str):
     raise ValueError(f"{literal} is not an integer")
 
 
+def _catalog_entries(path: str, limit: int):
+    """The catalog's entries as JSON values, each line read and parsed in
+    turn; only the first limit entries when limit is not 0."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in islice((line for line in fh if line.strip()), limit or None):
+                yield json.loads(line, parse_float=_no_float, parse_constant=_no_float)
+    except (OSError, ValueError) as exc:
+        raise ParseError(f"cannot read catalog {path}: {exc}") from exc
+
+
 def cmd_catalog(args) -> int:
     if args.limit < 0:
         raise ParseError(f"--limit is {args.limit}, not a count of entries")
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh if line.strip()]
-        entries = [json.loads(line, parse_float=_no_float, parse_constant=_no_float) for line in lines]
-    except (OSError, ValueError) as exc:
-        raise ParseError(f"cannot read catalog {args.file}: {exc}") from exc
-    try:
-        cons = [Construction.from_json(entry) for entry in entries[: args.limit or None]]
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ParseError(f"catalog {args.file} holds a line that is not an entry: {exc!r}") from exc
-    verified = [con for con in cons if con.oracle_verified]
-    bad, field = 0, None
-    for con in verified:
+    verified = skipped = bad = 0
+    field = None
+    for entry in _catalog_entries(args.file, args.limit):
+        try:
+            con = Construction.from_json(entry)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"catalog {args.file} holds a line that is not an entry: {exc!r}") from exc
+        if not con.oracle_verified:
+            skipped += 1
+            continue
+        verified += 1
         # scan writes the entries of a field together, so each field is built once
         fs = con.field
         if con.certificate is not None and (field is None or field.spec != fs):
@@ -259,8 +270,7 @@ def cmd_catalog(args) -> int:
         if problems:
             bad += 1
             print(f"FAIL q={con.field.q} {con.recipe_id}[{con.plan.label}]: {'; '.join(problems)}")
-    skipped = len(cons) - len(verified)
-    print(f"# re-verified {len(verified)} certificates, {bad} failures, {skipped} skipped as not oracle-verified",
+    print(f"# re-verified {verified} certificates, {bad} failures, {skipped} skipped as not oracle-verified",
           file=sys.stderr)
     return 1 if bad else 0
 

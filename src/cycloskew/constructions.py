@@ -41,7 +41,7 @@ from .cyclotomy import ClassPartition, classes, cyclotomic_numbers_order8
 from .diffsets import (
     Certificate,
     _split,
-    as_element_set,
+    _validated_family,
     certify,
     check_family,
     check_pds,
@@ -62,7 +62,6 @@ from .errors import (
     HypothesisNotMet,
     NoRepresentation,
     NotApplicable,
-    NotDisjoint,
     NotPrimePower,
     PredictionMismatch,
     ProfileNotTwoValued,
@@ -117,14 +116,14 @@ def field_facts(field: Field) -> FieldFacts:
 
 @dataclass(frozen=True, eq=False)
 class Plan:
-    """One predicted certificate for a built family.  The family's sets and
-    the reference are sorted int64 arrays; a family of pairs or quadruples,
-    and a family read back from JSON whose sets share one non-zero size,
-    is one 2-D array, a set per row."""
+    """One predicted certificate for a built family.  The reference is a
+    sorted int64 array; a family of pairs or quadruples, and a family read
+    back from JSON whose sets share one non-zero size, is one 2-D array, a
+    set per row, and any other family a tuple of sorted arrays."""
 
     label: str
     mode: str  # "skew" | "internal" | "external"
-    family: tuple[np.ndarray, ...] | np.ndarray
+    family: np.ndarray | tuple[np.ndarray, ...]
     reference: np.ndarray | None
     kind: str
     params: dict
@@ -275,7 +274,7 @@ def _union_plans(rows: tuple[UnionPlan, ...], note: str, field: Field, facts: Fi
     or that has no mu, is predicted as a DDF/EDF with no reference and
     carries the recipe's note."""
     q = facts.q
-    parts = {e: classes(field, e) for row in rows for e in (row.e, row.ref[0])}
+    parts = {e: classes(field, e) for e in {e for row in rows for e in (row.e, row.ref[0])}}
     plans: list[Plan] = []
     for row in rows:
         family = tuple(parts[row.e].union(*idx) for idx in row.sets)
@@ -290,10 +289,10 @@ def _union_plans(rows: tuple[UnionPlan, ...], note: str, field: Field, facts: Fi
         lam, mu = row.params(facts)
         if mu is None or lam == mu:
             kind = "DDF" if row.mode == "internal" else "EDF"
-            plans += _plan(row.label, row.mode, family, None, kind, family_params(q, map(len, family), lam), note)
+            plans += _plan(row.label, row.mode, family, None, kind, family_params(q, family, lam), note)
         else:
             kind = "RelativeDPDF" if row.mode == "internal" else "RelativeEPDF"
-            plans += _plan(row.label, row.mode, family, ref, kind, family_params(q, map(len, family), lam, mu))
+            plans += _plan(row.label, row.mode, family, ref, kind, family_params(q, family, lam, mu))
     return plans
 
 
@@ -344,10 +343,10 @@ def _build_r14(field, facts):
     q, t = facts.q, facts.t
     p4, p2 = classes(field, 4), classes(field, 2)
     fam = _pair_family(field, field.element(2), p4)
-    plans = _plan("internal", "internal", fam, p2.union(0), "RelativeDPDF", family_params(q, set_sizes(fam), 1, 0))
+    plans = _plan("internal", "internal", fam, p2.union(0), "RelativeDPDF", family_params(q, fam, 1, 0))
     cls2 = p4.class_of(field.element(2))
     if (cls2 == 1 and t == -2) or (cls2 == 3 and t == 2):
-        plans += _plan("external", "external", fam, None, "EDF", family_params(q, set_sizes(fam), (q - 5) // 4))
+        plans += _plan("external", "external", fam, None, "EDF", family_params(q, fam, (q - 5) // 4))
     else:
         plans += _plan(
             "external",
@@ -355,7 +354,7 @@ def _build_r14(field, facts):
             fam,
             p2.union(0),
             "RelativeEPDF",
-            family_params(q, set_sizes(fam), (q - 9) // 4, (q - 1) // 4),
+            family_params(q, fam, (q - 9) // 4, (q - 1) // 4),
         )
     return plans
 
@@ -371,27 +370,26 @@ def _build_r24(field, facts):
     q = facts.q
     p4, p2 = classes(field, 4), classes(field, 2)
     in_sq, out_sq = r24_admissible_gammas(field)
-    ks = [2] * p4.f  # (q-1)/4 pairs {i, gamma*i}
     plans: list[Plan] = []
     if len(in_sq):
         fam = _pair_family(field, in_sq[0], p4)
         note = f"gamma={in_sq[0]}, derived branch"
-        plans += _plan("in-sq-internal", "internal", fam, None, "DPDF", family_params(q, ks, 1, 0), note)
+        plans += _plan("in-sq-internal", "internal", fam, None, "DPDF", family_params(q, fam, 1, 0), note)
         plans += _plan(
             "in-sq-external",
             "external",
             fam,
             None,
             "EPDF",
-            family_params(q, ks, (q - 9) // 4, (q - 1) // 4),
+            family_params(q, fam, (q - 9) // 4, (q - 1) // 4),
             note,
         )
     if len(out_sq):
         fam = _pair_family(field, out_sq[0], p4)
         note = f"gamma={out_sq[0]}"
-        plans += _plan("out-sq-internal", "internal", fam, None, "DPDF", family_params(q, ks, 0, 1), note)
+        plans += _plan("out-sq-internal", "internal", fam, None, "DPDF", family_params(q, fam, 0, 1), note)
         plans += _plan(
-            "out-sq-external", "external", fam, None, "EDF", family_params(q, ks, (q - 5) // 4), note
+            "out-sq-external", "external", fam, None, "EDF", family_params(q, fam, (q - 5) // 4), note
         )
     return plans
 
@@ -414,10 +412,9 @@ def _build_r25(field, facts):
     # gamma is not -1, which lies in C_0^4, so each orbit has four codes
     fam = np.sort(np.stack([reps, field.neg_codes(reps), gamma_reps, field.neg_codes(gamma_reps)], axis=1), axis=1)
     note = f"gamma={gamma}"
-    ks = [4] * len(fam)
-    plans = _plan("internal", "internal", fam, None, "DPDF", family_params(q, ks, 3, 0), note)
+    plans = _plan("internal", "internal", fam, None, "DPDF", family_params(q, fam, 3, 0), note)
     plans += _plan(
-        "external", "external", fam, None, "EPDF", family_params(q, ks, (q - 17) // 4, (q - 1) // 4), note
+        "external", "external", fam, None, "EPDF", family_params(q, fam, (q - 17) // 4, (q - 1) // 4), note
     )
     return plans
 
@@ -662,12 +659,8 @@ def swap_combinator(field: Field, pairs) -> Construction:
     """Certify {D_i} as a DPDF relative to the union of the A_i, given that
     each Delta(D_i) is two-valued over (A_i*, G* minus A_i) with a common
     difference of frequencies."""
-    ds = [as_element_set(field, d) for d, _ in pairs]
-    as_ = [as_element_set(field, a) for _, a in pairs]
-    for group, label in ((ds, "D"), (as_, "A")):
-        allc = np.concatenate(group) if group else np.empty(0, dtype=np.int64)
-        if len(np.unique(allc)) != len(allc):
-            raise NotDisjoint(f"{label} sets are not pairwise disjoint")
+    ds, _ = _validated_family(field, [d for d, _ in pairs])
+    as_, ref = _validated_family(field, [a for _, a in pairs])
     deltas, mus = [], []
     for d, a in zip(ds, as_):
         lam_mu = _split(field, internal_differences(field, d), a)
@@ -677,9 +670,8 @@ def swap_combinator(field: Field, pairs) -> Construction:
         mus.append(lam_mu[1])
     if len(set(deltas)) != 1:
         raise DeltaNotConstant(f"lambda - mu differs across pairs: {deltas}")
-    ref = np.sort(np.concatenate(as_))
-    params = family_params(field.q, map(len, ds), deltas[0] + sum(mus), sum(mus))
-    plan = Plan("swap", "internal", tuple(ds), ref, "RelativeDPDF", params)
+    params = family_params(field.q, ds, deltas[0] + sum(mus), sum(mus))
+    plan = Plan("swap", "internal", ds, ref, "RelativeDPDF", params)
     return _certified("swap", plan, field)
 
 
@@ -687,10 +679,10 @@ def skew_from_families(field: Field, family, reference) -> Certificate:
     """If the family is a DPDF/EPDF pair relative to a PDS T (with at most
     one side degenerating to a DDF/EDF), certify the union as a skew PDS.
     The corresponding PDS is recovered from the union's own profile."""
-    t = as_element_set(field, reference)
-    t_cert = check_pds(field, t)
-    fam = [as_element_set(field, s) for s in family]
-    if not t_cert.ok or len(t) != sum(len(s) for s in fam):
+    t_cert = check_pds(field, reference)
+    t = t_cert.sets[0]
+    fam, union = _validated_family(field, family)
+    if not t_cert.ok or len(t) != len(union):
         raise HypothesisNotMet("reference is not a PDS of the union's size")
     int_cert = check_family(field, fam, "internal", reference=t)
     ext_cert = check_family(field, fam, "external", reference=t)
@@ -705,7 +697,6 @@ def skew_from_families(field: Field, family, reference) -> Certificate:
         raise HypothesisNotMet(
             f"family is Int={int_kind}, Ext={ext_kind} relative to the reference"
         )
-    union = np.sort(np.concatenate(fam))
     return check_skew_pds(field, union)
 
 

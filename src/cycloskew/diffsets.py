@@ -49,18 +49,24 @@ def as_element_set(field: Field, codes) -> np.ndarray:
         raw = np.asarray(codes)
     except ValueError as exc:  # ragged nesting
         raise InvalidElementCode(f"element codes must be integers: {exc}") from exc
-    non_int = raw.dtype.kind not in "iu" and raw.size
-    if raw.ndim != 1 or non_int or (not isinstance(codes, np.ndarray) and bool in map(type, codes)):
+    if raw.ndim != 1 or (not isinstance(codes, np.ndarray) and bool in map(type, codes)):
         raise InvalidElementCode("element codes must be integers, not bool, float, str or nested")
-    arr = raw.astype(np.int64)  # a copy: the caller's array is never sorted
-    arr.sort()
-    if len(arr) == 0:
-        return arr
-    if arr[0] < 0 or arr[-1] >= field.q:
+    return _sorted_rows(field, raw[None])[0]
+
+
+def _sorted_rows(field: Field, raw: np.ndarray) -> np.ndarray:
+    """An int64 copy of the 2-D array raw with each row sorted: a
+    non-integer dtype raises first, then a code out of range, then a code
+    repeated within a row."""
+    if raw.dtype.kind not in "iu" and raw.size:
+        raise InvalidElementCode("element codes must be integers, not bool, float, str or nested")
+    rows = raw.astype(np.int64)  # a copy: the caller's array is never sorted
+    rows.sort(axis=1)
+    if rows.size and (rows[:, 0].min() < 0 or rows[:, -1].max() >= field.q):
         raise IndexOutOfRange(f"element code out of range [0, {field.q})")
-    if np.count_nonzero(arr[1:] == arr[:-1]):
+    if np.count_nonzero(rows[:, 1:] == rows[:, :-1]):
         raise DuplicateElement("set contains a repeated element")
-    return arr
+    return rows
 
 
 def _pair_counts(field: Field, blocks) -> np.ndarray:
@@ -141,50 +147,43 @@ def cross_differences(field: Field, D1, D2) -> np.ndarray:
     return diff_counts(field, as_element_set(field, D1), as_element_set(field, D2))
 
 
-def _validated_family(field: Field, family) -> tuple[np.ndarray | list[np.ndarray], np.ndarray]:
-    """The family's sets and their sorted union.  A 2-D integer array is a
-    family of one set per row and is checked in one pass, with its rows
-    sorted: a code out of range raises first, then a repeated code within
-    a row, then 0 in a row, then a code shared by two rows.  Any other
-    family is checked set by set, then for 0 and disjointness."""
+def _validated_family(field: Field, family) -> tuple[np.ndarray | tuple[np.ndarray, ...], np.ndarray]:
+    """The family's sets and their sorted union.  A 2-D array is a family
+    of one set per row and is checked in one pass; any other family is a
+    tuple of sets checked one at a time.  Each set is checked as by
+    as_element_set, then 0 in a set raises, then a code shared by two
+    sets."""
     if isinstance(family, np.ndarray) and family.ndim == 2:
-        if family.dtype.kind not in "iu" and family.size:
-            raise InvalidElementCode("element codes must be integers, not bool, float, str or nested")
-        fam = family.astype(np.int64)  # a copy: the caller's array is never sorted
-        fam.sort(axis=1)
-        if fam.size and (fam[:, 0].min() < 0 or fam[:, -1].max() >= field.q):
-            raise IndexOutOfRange(f"element code out of range [0, {field.q})")
-        if np.count_nonzero(fam[:, 1:] == fam[:, :-1]):
-            raise DuplicateElement("set contains a repeated element")
+        fam = _sorted_rows(field, family)
         allc = fam.ravel()
     else:
-        fam = [as_element_set(field, s) for s in family]
+        fam = tuple(as_element_set(field, s) for s in family)
         allc = np.concatenate(fam) if fam else np.empty(0, dtype=np.int64)
     union = np.sort(allc)  # np.unique hashes, and is far slower on many codes
     if len(union) and union[0] == 0:
-        raise ContainsZero("family sets must avoid 0")
+        raise ContainsZero("family and reference sets must avoid 0")
     if np.count_nonzero(union[1:] == union[:-1]):
         raise NotDisjoint("family sets are not pairwise disjoint")
     return fam, union
 
 
-def _family_profile(field: Field, fam: np.ndarray | list[np.ndarray], union: np.ndarray, mode: str) -> np.ndarray:
-    """Int or Ext of a validated family.  Sets of at most q pairs are
-    stacked by size into one pair count (a 2-D family is one such block),
-    larger ones get a transform each.  Ext is Delta(union) minus the sum
-    of Delta(D_i): the zero hits of the two cancel."""
+def _family_profile(field: Field, fam: np.ndarray | tuple[np.ndarray, ...], union: np.ndarray,
+                    mode: str) -> np.ndarray:
+    """Int or Ext of a validated family, counted one stack of equal-size
+    sets at a time (a 2-D family is one stack): one pair count for sets
+    of at most q pairs, a transform per set otherwise.  Ext is
+    Delta(union) minus the sum of Delta(D_i): the zero hits cancel."""
     if isinstance(fam, np.ndarray):
-        small = [fam] if fam.shape[1] ** 2 <= field.q else []
-        large = [] if small else fam
+        stacks = [fam]
     else:
-        groups: dict[int, list[np.ndarray]] = {}
-        for s in fam:
-            groups.setdefault(len(s), []).append(s)
-        small = [np.stack(g) for k, g in groups.items() if k * k <= field.q]
-        large = [s for s in fam if len(s) * len(s) > field.q]
-    counts = _pair_counts(field, [(X, X) for X in small])
-    for s in large:
-        counts += diff_counts(field, s, s)
+        stacks = [np.stack([s for s in fam if len(s) == k]) for k in {*map(len, fam)}]
+    counts = np.zeros(field.q, dtype=np.int64)
+    for X in stacks:
+        if X.shape[1] ** 2 <= field.q:
+            counts += _pair_counts(field, [(X, X)])
+        else:
+            for s in X:
+                counts += diff_counts(field, s, s)
     if mode == "internal":
         counts[0] = 0
         return counts
@@ -206,13 +205,13 @@ def family_external(field: Field, family) -> np.ndarray:
 
 @dataclass(eq=False)
 class Certificate:
-    """A classifier's verdict.  sets and reference_set are sorted int64
-    arrays in memory and lists of codes in JSON; sets is one 2-D array
-    when the family was given as one."""
+    """A classifier's verdict.  In memory, sets is one 2-D int64 array, a
+    set per row, or a tuple of sorted int64 arrays, and reference_set a
+    sorted int64 array; in JSON both are lists of codes."""
 
     kind: str
     field: FieldSpec
-    sets: np.ndarray | list[np.ndarray] | tuple[np.ndarray, ...]
+    sets: np.ndarray | tuple[np.ndarray, ...]
     reference_set: np.ndarray | None
     params: dict = dc_field(default_factory=dict)
     pds_type: str | None = None
@@ -340,10 +339,10 @@ def sets_json(family) -> list[list[int]]:
     return family.tolist() if isinstance(family, np.ndarray) else [s.tolist() for s in family]
 
 
-def family_params(q: int, ks, lam: int, mu: int | None = None) -> dict:
-    """Params of a family with set sizes ks: v, m, k (ks when the sizes
+def family_params(q: int, family, lam: int, mu: int | None = None) -> dict:
+    """Params of the family: v, m, k (ks, the set sizes, when they
     differ), lambda, and mu unless the family is a DDF/EDF."""
-    ks = list(ks)
+    ks = set_sizes(family)
     params = {"v": q, "m": len(ks), **({"k": ks[0]} if len(set(ks)) == 1 else {"ks": ks}), "lambda": lam}
     if mu is not None:
         params["mu"] = mu
@@ -379,7 +378,7 @@ def _pds_certificate(field: Field, kind: str, d: np.ndarray, ref: np.ndarray, la
     regular = bool(0 not in ref and _is_symmetric(field, ref))
     ptype, pargs = _pds_type(field.q, len(ref), lam, mu, regular)
     params = {"v": field.q, "k": len(d), "lambda": lam, "mu": mu}
-    return Certificate(kind, field.spec, [d], ref, params, pds_type=ptype, pds_type_args=pargs,
+    return Certificate(kind, field.spec, (d,), ref, params, pds_type=ptype, pds_type_args=pargs,
                        regular=regular, trivial=offset is not None, translate_offset=offset)
 
 
@@ -388,7 +387,7 @@ def check_pds(field: Field, A) -> Certificate:
     a = as_element_set(field, A)
     lam_mu = _split(field, internal_differences(field, a), a)
     if lam_mu is None:
-        return Certificate("None", field.spec, [a], None)
+        return Certificate("None", field.spec, (a,), None)
     return _pds_certificate(field, "PDS", a, a, *lam_mu)
 
 
@@ -419,7 +418,7 @@ def check_skew_pds(field: Field, D) -> Certificate:
     prof = internal_differences(field, d)
     vals = np.unique(prof[1:])
     if len(vals) != 2:
-        return Certificate("None", field.spec, [d], None)
+        return Certificate("None", field.spec, (d,), None)
     for val in vals:
         supp = np.flatnonzero(prof == val)
         supp = supp[supp != 0]
@@ -433,7 +432,7 @@ def check_skew_pds(field: Field, D) -> Certificate:
             offset = _translate_offset(field, d, cand)
             kind = "SkewPDS" if offset is None else "TrivialSkewPDS"
             return _pds_certificate(field, kind, d, cand, int(val), mu, offset)
-    return Certificate("None", field.spec, [d], None)
+    return Certificate("None", field.spec, (d,), None)
 
 
 def check_family(field: Field, family, mode: str, reference=None) -> Certificate:
@@ -449,26 +448,21 @@ def check_family(field: Field, family, mode: str, reference=None) -> Certificate
         raise UnknownMode(f"unknown family mode {mode!r}")
     fam, union = _validated_family(field, family)
     prof = _family_profile(field, fam, union, mode)
-    ks = set_sizes(fam)
     vals = np.unique(prof[1:])
     if prof.sum() == 0 or len(vals) > 2:
         return Certificate("None", field.spec, fam, None)
     if len(vals) == 1:
         kind = "DDF" if mode == "internal" else "EDF"
-        return Certificate(kind, field.spec, fam, None, family_params(field.q, ks, int(vals[0])))
+        return Certificate(kind, field.spec, fam, None, family_params(field.q, fam, int(vals[0])))
 
-    t = union
-    if reference is not None:
-        t = as_element_set(field, reference)
-        if len(t) and t[0] == 0:
-            raise ContainsZero("reference set must avoid 0")
+    t = union if reference is None else _validated_family(field, [reference])[1]  # a one-set family
     lam_mu = _split(field, prof, t)
     if lam_mu is None:
         return Certificate("None", field.spec, fam, None)
     kind = ("Relative" if reference is not None else "") + ("DPDF" if mode == "internal" else "EPDF")
     comp = None if reference is None else np.setdiff1d(field.nonzero_codes(), union, assume_unique=True)
     trivial = reference is not None and (np.array_equal(t, union) or np.array_equal(t, comp))
-    return Certificate(kind, field.spec, fam, t, family_params(field.q, ks, *lam_mu), trivial=trivial)
+    return Certificate(kind, field.spec, fam, t, family_params(field.q, fam, *lam_mu), trivial=trivial)
 
 
 def check_ads(field: Field, D) -> Certificate:
@@ -482,13 +476,13 @@ def check_ads(field: Field, D) -> Certificate:
     elif len(vals) == 2 and vals[1] == vals[0] + 1:
         lam = int(vals[0])
     else:
-        return Certificate("None", field.spec, [d], None)
+        return Certificate("None", field.spec, (d,), None)
     t_set = np.flatnonzero(prof == lam)
     t_set = t_set[t_set != 0]
     return Certificate(
         "ADS",
         field.spec,
-        [d],
+        (d,),
         t_set,
         {"v": field.q, "k": len(d), "lambda": lam, "t": len(t_set)},
     )

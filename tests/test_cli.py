@@ -287,6 +287,28 @@ def test_catalog_checks_entry_against_certificate(tmp_path, capsys, edit, reason
     assert "re-verified 1 certificates, 1 failures, 1 skipped" in err
 
 
+def test_catalog_limit_stops_reading(tmp_path, capsys):
+    # the malformed second line lies beyond --limit 1 and is never read
+    entry = run(capsys, "scan", "13", "13", "--recipes", "R1")[1]
+    catalog = tmp_path / "cat.jsonl"
+    catalog.write_text(entry + '{"q": 13,\n')
+    code, _, err = run(capsys, "catalog", str(catalog), "--limit", "1")
+    assert code == 0 and "re-verified 1 certificates, 0 failures, 0 skipped" in err
+    code, _, err = run(capsys, "catalog", str(catalog))
+    assert code == 2 and err.startswith("error: ParseError: ")
+
+
+def test_catalog_malformed_line_after_failing_entry(tmp_path, capsys):
+    # each line is checked as it is read: the FAIL line comes before the error
+    entry = json.loads(run(capsys, "scan", "13", "13", "--recipes", "R1")[1])
+    _edit_r1_entry(entry, "certificate")
+    catalog = tmp_path / "cat.jsonl"
+    catalog.write_text(json.dumps(entry) + "\n[1, 2]\n")
+    code, out, err = run(capsys, "catalog", str(catalog))
+    assert code == 2 and err.startswith("error: ParseError: ") and "re-verified" not in err
+    assert out.startswith("FAIL q=13 R1[D]: certificate does not recompute from its sets")
+
+
 def test_catalog_rejects_non_integer_numbers(tmp_path, capsys):
     # every number in an entry is an integer: a stored lambda of 2.5 is rejected
     entry = json.loads(run(capsys, "scan", "13", "13", "--recipes", "R1")[1])

@@ -20,8 +20,13 @@ from cycloskew.constructions import (
     r25_admissible_gammas,
 )
 from cycloskew.errors import (
+    ContainsZero,
+    CycloskewError,
     DeltaNotConstant,
+    DuplicateElement,
     HypothesisNotMet,
+    IndexOutOfRange,
+    InvalidElementCode,
     NotApplicable,
     NotDisjoint,
     PredictionMismatch,
@@ -243,6 +248,39 @@ def test_skew_from_families(gf13):
 
     with pytest.raises(HypothesisNotMet):
         skew_from_families(gf13, [[1, 2], [3, 4], [5, 6]], p2.members[0])
+
+
+def _with_defect(family, defect):
+    """A copy of the family with one defect in its first set."""
+    fam = [list(s) for s in family]
+    if defect == "repeat":
+        fam[0][1] = fam[0][0]
+    else:
+        fam[0][0] = {"float": 1.5, "high": 13, "zero": 0, "shared": fam[1][0]}[defect]
+    return fam
+
+
+def _error(call):
+    try:
+        call()
+    except CycloskewError as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize(
+    "defect, expect",
+    [("float", InvalidElementCode), ("high", IndexOutOfRange), ("repeat", DuplicateElement),
+     ("zero", ContainsZero), ("shared", NotDisjoint)],
+)
+def test_combinators_reject_set_defects_as_check_family(gf13, defect, expect):
+    # the skew_from_families family is a DPDF relative to the squares
+    fam, other = [[1, 2], [3, 6], [5, 9]], [[4, 10], [7, 8], [11, 12]]
+    bad = _with_defect(fam, defect)
+    assert _error(lambda: check_family(gf13, bad, "internal")) is expect
+    assert _error(lambda: swap_combinator(gf13, list(zip(bad, other)))) is expect
+    assert _error(lambda: swap_combinator(gf13, list(zip(fam, _with_defect(other, defect))))) is expect
+    assert _error(lambda: skew_from_families(gf13, bad, classes(gf13, 2).members[0])) is expect
 
 
 def test_skew_from_families_gf25(gf25):

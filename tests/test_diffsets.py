@@ -165,6 +165,10 @@ def test_family_validation(gf13):
         family_internal(gf13, [[1, 2], [2, 3]])
     with pytest.raises(ContainsZero):
         family_internal(gf13, [[0, 1], [2, 3]])
+    # the reference is checked as a one-set family once Int is two-valued
+    for reference, error in [([0, 1], ContainsZero), ([1, 1], DuplicateElement), ([13], IndexOutOfRange)]:
+        with pytest.raises(error):
+            check_family(gf13, [[1, 2], [3, 6], [5, 9]], "internal", reference=reference)
 
 
 def test_int_plus_ext_is_delta_of_union(gf13, gf25):
@@ -506,6 +510,28 @@ def test_family_array_defects_match_its_rows(data):
         fam = fam.astype(float if defect == "float" else bool)
     for check in (family_internal, family_external, lambda f, s: check_family(f, s, "internal")):
         assert _family_error(check, f, fam) == _family_error(check, f, list(fam)) == expect
+
+
+@pytest.mark.parametrize(
+    "codes, expect",
+    [
+        (np.array([1.0, 3.0]), InvalidElementCode),
+        (np.array([True, False]), InvalidElementCode),
+        (np.array(["1", "3"]), InvalidElementCode),
+        (np.array([13, 1]), IndexOutOfRange),
+        (np.array([1, 255], dtype=np.uint8), IndexOutOfRange),
+        (np.array([-1, 2]), IndexOutOfRange),
+        (np.array([2, 5, 2]), DuplicateElement),
+        (np.array([9, 3, 1]), None),
+    ],
+)
+def test_element_set_checked_as_one_row_family(gf13, codes, expect):
+    family_check = lambda f, s: check_family(f, s, "internal")  # noqa: E731
+    assert _family_error(diffsets.as_element_set, gf13, codes) is expect
+    assert _family_error(family_check, gf13, np.array([codes])) is expect
+    if expect is None:
+        row = check_family(gf13, np.array([codes]), "internal").sets[0]
+        assert np.array_equal(diffsets.as_element_set(gf13, codes), row)
 
 
 def test_family_array_error_precedence(gf13):
