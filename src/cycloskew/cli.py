@@ -4,8 +4,8 @@ Subcommands:
 
   tables   reproduce the two skew-PDS parameter tables, certifying rows
   scan     sweep recipes over a range of prime powers into a JSON-lines catalog
-  verify   classify explicit sets from a JSON file or inline JSON; --mode is
-           a mode of diffsets.certify (pds, skew, ads, internal, external)
+  verify   classify sets given as inline JSON or @FILE; --mode is a mode of
+           diffsets.certify (pds, skew, ads: one set; internal, external)
   cycnum   print/compare cyclotomic number tables
   catalog  re-verify a previously written catalog: each oracle-verified
            entry's certificate must be over its field, hold its family,
@@ -40,7 +40,7 @@ from .constructions import (
     registry,
 )
 from .cyclotomy import bruteforce_table, classes, closed_form_table
-from .diffsets import certify
+from .diffsets import SET_MODES, certify
 from .errors import BoundTooLarge, CycloskewError, ParseError
 from .field import build_field
 from .numtheory import is_prime_power, prime_power_decompose, two_squares_rep
@@ -157,8 +157,8 @@ def cmd_scan(args) -> int:
 
 def _load_sets(arg: str) -> list[list[int]]:
     try:
-        if os.path.exists(arg):
-            with open(arg, "r", encoding="utf-8") as fh:
+        if arg.startswith("@"):
+            with open(arg[1:], "r", encoding="utf-8") as fh:
                 data = json.load(fh)
         else:
             data = json.loads(arg)
@@ -182,6 +182,8 @@ def _field_from_args(args):
 def cmd_verify(args) -> int:
     field = _field_from_args(args)
     sets = _load_sets(args.sets)
+    if args.mode in SET_MODES and args.reference is not None:
+        raise ParseError(f"mode {args.mode} takes no --reference")
     reference = None
     if args.reference:
         try:
@@ -312,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = subs.add_parser("verify", help="classify explicit sets")
     _add_field_args(v)
-    v.add_argument("--sets", required=True, help="JSON array of arrays, inline or a file path")
+    v.add_argument("--sets", required=True, help="JSON array of arrays, inline or @FILE")
     v.add_argument("--mode", required=True)
     v.add_argument("--reference", help="reference set as a JSON array (wrapped or not)")
     v.set_defaults(func=cmd_verify)

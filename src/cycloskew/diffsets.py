@@ -39,6 +39,7 @@ from .errors import (
 from .field import Field, FieldSpec
 
 _CHUNK = 1 << 20  # ordered pairs per pair-count chunk
+SET_MODES = ("pds", "skew", "ads")  # the certify modes that classify one set
 
 
 def as_element_set(field: Field, codes) -> np.ndarray:
@@ -69,16 +70,19 @@ def _sorted_rows(field: Field, raw: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _pair_counts(field: Field, blocks) -> np.ndarray:
-    """Counts of x - y summed over the (X, Y) blocks, in chunks of about
-    _CHUNK pairs.  X and Y are 2-D with as many rows; row i pairs each
-    element of X[i] with each element of Y[i]."""
+def _pair_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Counts of x - y over the pairs of row i of X with row i of Y, summed
+    over the rows.  A chunk is at most _CHUNK pairs, or one row of Y when
+    that is longer: whole rows when a row fits, else a slice of a row of X
+    against the row of Y."""
     counts = np.zeros(field.q, dtype=np.int64)
-    for X, Y in blocks:
-        step = max(1, _CHUNK // max(1, X.shape[1] * Y.shape[1]))
-        for lo in range(0, len(X), step):
-            x = np.repeat(X[lo : lo + step], Y.shape[1], axis=1).ravel()
-            y = np.tile(Y[lo : lo + step], (1, X.shape[1])).ravel()
+    rows = max(1, _CHUNK // max(1, X.shape[1] * Y.shape[1]))
+    cols = max(1, _CHUNK // max(1, Y.shape[1]))
+    for lo in range(0, len(X), rows):
+        for c in range(0, X.shape[1], cols):
+            x = X[lo : lo + rows, c : c + cols]
+            y = np.tile(Y[lo : lo + rows], (1, x.shape[1])).ravel()
+            x = np.repeat(x, Y.shape[1], axis=1).ravel()
             counts += np.bincount(field.sub_codes(x, y), minlength=field.q)
     return counts
 
@@ -124,27 +128,29 @@ def _transform_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray 
 
 
 def diff_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Counts of x - y over all ordered pairs, including x == y hits at 0.
-    X and Y are sorted arrays of distinct codes."""
-    if len(X) * len(Y) > field.q:
-        counts = _transform_counts(field, X, Y)
-        if counts is not None:
-            return counts
-    return _pair_counts(field, [(X[:, None], np.broadcast_to(Y, (len(X), len(Y))))])
+    """Counts of x - y, x == y hits at 0 included, over row i of X against
+    row i of Y, summed over the rows of the 2-D stacks of sorted sets X and
+    Y: one pair count for rows of at most q pairs, else a transform per row
+    and a pair count for a row whose transform is not trusted."""
+    if len(X) == 0 or X.shape[1] * Y.shape[1] <= field.q:
+        return _pair_counts(field, X, Y)
+    counts = 0  # a zeros accumulator would add 8 bytes per code to a one-row count's peak
+    for i, x in enumerate(X):
+        row = _transform_counts(field, x, x if Y is X else Y[i])
+        counts += _pair_counts(field, X[i : i + 1], Y[i : i + 1]) if row is None else row
+    return counts
 
 
 def internal_differences(field: Field, D) -> np.ndarray:
     """Delta(D): counts of x - y over distinct x, y in D."""
     d = as_element_set(field, D)
-    counts = diff_counts(field, d, d)
-    counts[0] = 0
-    return counts
+    return _family_profile(field, d[None], d, "internal")
 
 
 def cross_differences(field: Field, D1, D2) -> np.ndarray:
     """Delta(D1, D2): counts of x - y over x in D1, y in D2.  Zero hits are
     included; callers working with disjoint sets never see any."""
-    return diff_counts(field, as_element_set(field, D1), as_element_set(field, D2))
+    return diff_counts(field, as_element_set(field, D1)[None], as_element_set(field, D2)[None])
 
 
 def _validated_family(field: Field, family) -> tuple[np.ndarray | tuple[np.ndarray, ...], np.ndarray]:
@@ -170,24 +176,19 @@ def _validated_family(field: Field, family) -> tuple[np.ndarray | tuple[np.ndarr
 def _family_profile(field: Field, fam: np.ndarray | tuple[np.ndarray, ...], union: np.ndarray,
                     mode: str) -> np.ndarray:
     """Int or Ext of a validated family, counted one stack of equal-size
-    sets at a time (a 2-D family is one stack): one pair count for sets
-    of at most q pairs, a transform per set otherwise.  Ext is
-    Delta(union) minus the sum of Delta(D_i): the zero hits cancel."""
+    sets at a time: a 2-D family is one stack, the empty family the empty
+    row of its union.  Ext is Delta(union) minus the sum of Delta(D_i):
+    the zero hits cancel."""
     if isinstance(fam, np.ndarray):
         stacks = [fam]
     else:
-        stacks = [np.stack([s for s in fam if len(s) == k]) for k in {*map(len, fam)}]
-    counts = np.zeros(field.q, dtype=np.int64)
-    for X in stacks:
-        if X.shape[1] ** 2 <= field.q:
-            counts += _pair_counts(field, [(X, X)])
-        else:
-            for s in X:
-                counts += diff_counts(field, s, s)
+        stacks = [np.stack([s for s in fam if len(s) == k]) for k in {*map(len, fam)}] or [union[None]]
+    counts = sum(diff_counts(field, X, X) for X in stacks)
     if mode == "internal":
         counts[0] = 0
         return counts
-    return diff_counts(field, union, union) - counts
+    u = union[None]
+    return diff_counts(field, u, u) - counts
 
 
 def family_internal(field: Field, family) -> np.ndarray:
@@ -489,17 +490,15 @@ def check_ads(field: Field, D) -> Certificate:
 
 
 def certify(field: Field, mode: str, sets, reference=None) -> Certificate:
-    """Classify sets in a mode: pds, skew and ads take sets[0], internal
-    and external the family (and the reference, if any)."""
-    if mode == "pds":
-        return check_pds(field, sets[0])
-    if mode == "skew":
-        return check_skew_pds(field, sets[0])
-    if mode == "ads":
-        return check_ads(field, sets[0])
+    """Classify sets in a mode: pds, skew and ads take exactly one set,
+    internal and external the family (and the reference, if any)."""
     if mode in ("internal", "external"):
         return check_family(field, sets, mode, reference=reference)
-    raise UnknownMode(f"mode {mode!r} is not one of pds|skew|ads|internal|external")
+    if mode not in SET_MODES:
+        raise UnknownMode(f"mode {mode!r} is not one of pds|skew|ads|internal|external")
+    if len(sets) != 1:
+        raise ParseError(f"mode {mode} classifies one set, not {len(sets)}")
+    return {"pds": check_pds, "skew": check_skew_pds, "ads": check_ads}[mode](field, sets[0])
 
 
 _KIND_MODE = {

@@ -333,11 +333,8 @@ class Field:
 
     def generator_codes(self) -> np.ndarray:
         """Codes of every primitive element, in exponent order."""
-        js = np.array(
-            [j for j in range(1, self.q - 1) if gcd(j, self.q - 1) == 1],
-            dtype=np.int64,
-        )
-        return self.exp[js]
+        js = np.arange(self.q - 1)
+        return self.exp[js[np.gcd(js, self.q - 1) == 1]]
 
 
 _BLOCK = 2**20  # int64 digits per numpy pass while the tables are built

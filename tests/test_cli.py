@@ -13,6 +13,7 @@ import cycloskew.cli
 import cycloskew.constructions
 from cycloskew import errors
 from cycloskew.cli import main, table1_rows, table2_rows
+from cycloskew.diffsets import SET_MODES
 
 
 def run(capsys, *argv):
@@ -62,13 +63,20 @@ def test_verify_skew(tmp_path, capsys):
     sets = tmp_path / "sets.json"
     sets.write_text("[[1,3,7,8,9,11]]")
     code, out, _ = run(
-        capsys, "verify", "--p", "13", "--gen", "2", "--sets", str(sets), "--mode", "skew"
+        capsys, "verify", "--p", "13", "--gen", "2", "--sets", f"@{sets}", "--mode", "skew"
     )
     assert code == 0
     cert = json.loads(out)
     assert cert["kind"] == "SkewPDS"
     assert cert["params"] == {"v": 13, "k": 6, "lambda": 2, "mu": 3}
     assert cert["field"] == {"p": 13, "m": 1, "poly": [11, 1], "generator": 2}
+
+
+def test_verify_sets_inline_even_when_a_file_has_that_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "[[1,3,4,9,10,12]]").write_text("[[1,2]]")
+    code, out, _ = run(capsys, "verify", "--p", "13", "--gen", "2", "--sets", "[[1,3,4,9,10,12]]", "--mode", "pds")
+    assert code == 0 and json.loads(out)["kind"] == "PDS"
 
 
 def test_verify_external_family(capsys):
@@ -202,6 +210,12 @@ def test_scan_mismatch_leaves_no_catalog(tmp_path, capsys, monkeypatch):
         (["verify", "--p", "13", "--sets", "[[1, 3, 9], [7, 8, 11]]", "--mode", "external",
           "--reference", "[[1, 3, 4, 9, 10, 12], [2, 5]]"], "ParseError"),
         (["catalog", "{tmp}/one.jsonl", "--limit", "-1"], "ParseError"),
+        (["verify", "--p", "13", "--gen", "2", "--sets", "[[1, 3, 4, 9, 10, 12], [2, 5]]", "--mode", "pds"],
+         "ParseError"),
+        (["verify", "--p", "13", "--gen", "2", "--sets", "[[1, 3, 4, 9, 10, 12]]", "--mode", "skew",
+          "--reference", "[1, 3, 9]"], "ParseError"),
+        (["catalog", "{tmp}/no-sets.jsonl"], "ParseError"),
+        (["verify", "--p", "13", "--sets", "@{tmp}/missing.json", "--mode", "pds"], "ParseError"),
     ],
 )
 def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, error):
@@ -209,6 +223,9 @@ def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, error):
     (tmp_path / "partial.jsonl").write_text('{"oracle_verified": true}\n')
     (tmp_path / "array.jsonl").write_text("[1, 2]\n")
     run(capsys, "scan", "13", "13", "--recipes", "R1", "--out", str(tmp_path / "one.jsonl"))
+    entry = json.loads((tmp_path / "one.jsonl").read_text().splitlines()[0])
+    entry["certificate"]["sets"] = []
+    (tmp_path / "no-sets.jsonl").write_text(json.dumps(entry) + "\n")
     code, _, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
     assert code == 2
     assert err.startswith(f"error: {error}: ")
@@ -408,10 +425,13 @@ def test_verify_fuzz(sets, mode, reference):
 @given(data=st.data(), mode=st.sampled_from(MODES), with_reference=st.booleans())
 @settings(max_examples=60)
 def test_verify_fuzz_valid_input(data, mode, with_reference):
-    # distinct codes of GF(13)*, split into disjoint sets: always classified
+    # distinct codes of GF(13)*, split into disjoint sets: always classified;
+    # pds, skew and ads take one set and no reference
+    one_set = mode in SET_MODES
     codes = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=12, unique=True))
-    cuts = sorted(data.draw(st.lists(st.integers(1, len(codes)), max_size=3)))
+    cuts = [] if one_set else sorted(data.draw(st.lists(st.integers(1, len(codes)), max_size=3)))
     sets = [codes[a:b] for a, b in zip([0] + cuts, cuts + [len(codes)])]
+    with_reference = with_reference and not one_set
     reference = data.draw(st.lists(st.integers(1, 12), max_size=12, unique=True)) if with_reference else None
     reference_text = None if reference is None else json.dumps(reference)
     code, err = run_captured(verify_argv(json.dumps(sets), mode, reference_text))

@@ -577,9 +577,9 @@ def test_transform_guard_falls_back(monkeypatch, gf361, trip):
 
     # every set below has more than q pairs, so a pair count over more
     # than q pairs is a fallback
-    def spy(field, blocks):
-        fallbacks.append(sum(X.size * Y.shape[1] for X, Y in blocks) > field.q)
-        return real_pair_counts(field, blocks)
+    def spy(field, X, Y):
+        fallbacks.append(X.size * Y.shape[1] > field.q)
+        return real_pair_counts(field, X, Y)
 
     monkeypatch.setattr(diffsets, "_pair_counts", spy)
     rng = np.random.default_rng(3)
@@ -595,6 +595,28 @@ def test_transform_guard_falls_back(monkeypatch, gf361, trip):
         fallbacks.clear()
         assert np.array_equal(count(), expect)
         assert any(fallbacks) == (trip != "none")
+
+
+def test_pair_count_chunks_are_bounded(monkeypatch, gf361):
+    # every set below has at most q pairs, so each is counted pair by pair:
+    # one set, a stack of two, a stack of 30 pairs, and two cross counts
+    rng = np.random.default_rng(5)
+    D = rng.choice(np.arange(1, 361), size=138, replace=False)
+    A, B, pairs = D[:19], D[19:38], D[38:98].reshape(30, 2)
+    cases = [
+        (lambda: internal_differences(gf361, A), naive_family(gf361, [A], "internal"), 19),
+        (lambda: family_internal(gf361, [A, B]), naive_family(gf361, [A, B], "internal"), 19),
+        (lambda: family_internal(gf361, pairs), naive_family(gf361, list(pairs), "internal"), 2),
+        (lambda: cross_differences(gf361, A, B), naive_cross(gf361, A, B), 19),
+        (lambda: cross_differences(gf361, D[:3], D[38:]), naive_cross(gf361, D[:3], D[38:]), 100),
+    ]
+    real_bincount, seen = np.bincount, []
+    monkeypatch.setattr(diffsets, "_CHUNK", 64)
+    monkeypatch.setattr(np, "bincount", lambda x, *a, **kw: seen.append(len(x)) or real_bincount(x, *a, **kw))
+    for count, expect, ny in cases:
+        seen.clear()
+        assert np.array_equal(count(), expect)
+        assert seen and max(seen) <= max(64, ny)
 
 
 def _classifier_lines(field):

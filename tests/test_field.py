@@ -171,6 +171,10 @@ def test_with_generator_permutation(gf13):
     assert sorted(int(g) for g in gf13.generator_codes()) == [2, 6, 7, 11]
 
 
+def test_generator_codes_of_gf2():
+    assert build_field(2).generator_codes().tolist() == [1]
+
+
 # ---- field construction ----
 
 GOLDEN_POLYS = json.loads((Path(__file__).parent / "default_poly_golden.json").read_text())
