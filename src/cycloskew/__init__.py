@@ -9,9 +9,9 @@ from .constructions import (
     Plan,
     Recipe,
     apply,
-    enumerate_applicable,
     field_facts,
     get_recipe,
+    iter_applicable,
     registry,
     skew_from_families,
     swap_combinator,

@@ -185,7 +185,7 @@ def cmd_verify(args) -> int:
     if args.mode in SET_MODES and args.reference is not None:
         raise ParseError(f"mode {args.mode} takes no --reference")
     reference = None
-    if args.reference:
+    if args.reference is not None:
         try:
             data = json.loads(args.reference)
         except json.JSONDecodeError as exc:
@@ -217,8 +217,8 @@ def cmd_cycnum(args) -> int:
         tables["closed-form"] = closed_form_table(field, args.e)
         cf = tables["closed-form"]
         header.update({k: v for k, v in cf.reps.items()})
-        if cf.resolved_y is not None:
-            header.update({"resolved_y": cf.resolved_y, "resolved_b": cf.resolved_b})
+        if args.e == 8:
+            header.update({"resolved_y": cf.reps["y"], "resolved_b": cf.reps["b"]})
     print(" ".join(f"{k}={v}" for k, v in header.items()))
     show = tables.get("closed-form", tables.get("brute-force"))
     for row in show.counts:

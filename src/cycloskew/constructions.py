@@ -108,8 +108,7 @@ def field_facts(field: Field) -> FieldFacts:
         facts.two_qr = two_is_quartic_residue(field)
     if q % 8 == 1:
         table = cyclotomic_numbers_order8(field)
-        facts.y = table.resolved_y
-        facts.b = table.resolved_b
+        facts.y, facts.b = table.reps["y"], table.reps["b"]
     _FACTS_CACHE[field] = facts
     return facts
 
@@ -360,15 +359,17 @@ def _build_r14(field, facts):
 
 
 def r24_admissible_gammas(field: Field) -> tuple[np.ndarray, np.ndarray]:
-    """Codes gamma in C_2^4 split by whether 1 - gamma is a square."""
-    gammas = classes(field, 4).members[2]
-    square = classes(field, 2).cls_of[field.sub_codes(1, gammas)] == 0
+    """Codes gamma in C_2^4 split by whether 1 - gamma is a square, that
+    is in an even class of order 4."""
+    p4 = classes(field, 4)
+    gammas = p4.members[2]
+    square = p4.class_of(field.sub_codes(1, gammas)) % 2 == 0
     return gammas[square], gammas[~square]
 
 
 def _build_r24(field, facts):
     q = facts.q
-    p4, p2 = classes(field, 4), classes(field, 2)
+    p4 = classes(field, 4)
     in_sq, out_sq = r24_admissible_gammas(field)
     plans: list[Plan] = []
     if len(in_sq):
@@ -398,7 +399,8 @@ def r25_admissible_gammas(field: Field) -> np.ndarray:
     """Codes gamma in C_2^4 with one of 1 -+ gamma in C_0^4, the other in C_2^4."""
     p4 = classes(field, 4)
     gammas = p4.members[2]
-    u, v = p4.cls_of[field.sub_codes(1, gammas)], p4.cls_of[field.add_codes(1, gammas)]
+    gammas = gammas[gammas != field.neg(1)]  # 1 + gamma = 0 lies in no class; -1 is in C_2^4 if q = 5 (mod 8)
+    u, v = p4.class_of(field.sub_codes(1, gammas)), p4.class_of(field.add_codes(1, gammas))
     return gammas[((u == 0) & (v == 2)) | ((u == 2) & (v == 0))]
 
 
@@ -730,12 +732,3 @@ def iter_applicable(
             if recipe.applicable(field):
                 yield from apply(recipe, field, certify=q <= certify_cap)
 
-
-def enumerate_applicable(
-    q_min: int,
-    q_max: int,
-    recipe_ids: list[str] | None = None,
-    certify_cap: int = 5000,
-) -> list[Construction]:
-    """Every construction of iter_applicable, as a list."""
-    return list(iter_applicable(q_min, q_max, recipe_ids, certify_cap))

@@ -1,11 +1,11 @@
 """Cyclotomic class partitions and cyclotomic number tables.
 
-The class of a nonzero element is its discrete log mod e, so membership
-queries are O(1) through the field's log table.  Cyclotomic number
-tables come in two provenances: "brute-force" (one O(q) pass over the
-field, counting solutions of z + 1 = w classwise) and "closed-form"
-(assembled from the quadratic form representations of q).  Closed forms
-exist for e = 2, 4, 8.
+C_i^e = g^i<g^e> is the slice exp[i::e] of the field's exp table, and
+the class of a nonzero code is its discrete log mod e, read off the log
+table by ClassPartition.class_of.  Cyclotomic number tables come in two
+provenances: "brute-force" (one O(f) pass per class, counting solutions
+of z + 1 = w classwise) and "closed-form" (assembled from the quadratic
+form representations of q).  Closed forms exist for e = 2, 4, 8.
 
 The order-8 closed form determines y and b only up to sign.  Signs are
 resolved by evaluating every candidate table and keeping the one that
@@ -42,14 +42,15 @@ class ClassPartition:
     field: Field
     e: int
     f: int
-    cls_of: np.ndarray  # length q, class index per code, -1 at code 0
     members: list[np.ndarray]  # e arrays of f codes each, ascending
 
-    def class_of(self, code: int) -> int:
-        c = int(self.cls_of[code])
-        if c < 0:
+    def class_of(self, codes):
+        """Class index of one nonzero code, or of each code of an array."""
+        logs = self.field.log[codes]
+        if np.any(logs < 0):
             raise IndexOutOfRange("0 belongs to no cyclotomic class")
-        return c
+        cls = logs % self.e
+        return int(cls) if np.ndim(cls) == 0 else cls
 
     def union(self, *indices: int) -> np.ndarray:
         """Sorted codes of the union of the given classes."""
@@ -63,9 +64,8 @@ def classes(field: Field, e: int) -> ClassPartition:
     q = field.q
     if e < 1 or (q - 1) % e != 0:
         raise OrderDoesNotDivide(f"e = {e} does not divide q-1 = {q - 1}")
-    cls_of = np.where(field.log >= 0, field.log % e, -1)
-    members = [np.flatnonzero(cls_of == i).astype(np.int64) for i in range(e)]
-    return ClassPartition(field, e, (q - 1) // e, cls_of, members)
+    members = [np.sort(field.exp[i::e]).astype(np.int64) for i in range(e)]
+    return ClassPartition(field, e, (q - 1) // e, members)
 
 
 @dataclass
@@ -74,8 +74,6 @@ class CycNumTable:
     counts: np.ndarray  # e x e matrix of (i,j)_e
     provenance: str  # "brute-force" or "closed-form"
     reps: dict = dc_field(default_factory=dict)  # s,t,x,y,a,b actually used
-    resolved_y: int | None = None
-    resolved_b: int | None = None
 
 
 def cyclotomic_number_bruteforce(part: ClassPartition, i: int, j: int) -> int:
@@ -83,20 +81,19 @@ def cyclotomic_number_bruteforce(part: ClassPartition, i: int, j: int) -> int:
     e = part.e
     if not (0 <= i < e and 0 <= j < e):
         raise IndexOutOfRange(f"({i},{j}) out of range for e={e}")
+    return int(np.count_nonzero(_successor_classes(part, i) == j))
+
+
+def _successor_classes(part: ClassPartition, i: int) -> np.ndarray:
+    """Classes of z + 1 over z in C_i, with z + 1 = 0 dropped."""
     z1 = part.field.succ_codes(part.members[i])
-    ok = z1 != 0
-    return int(np.count_nonzero(part.cls_of[z1[ok]] == j))
+    return part.class_of(z1[z1 != 0])
 
 
 def bruteforce_table(part: ClassPartition) -> CycNumTable:
-    """All e x e cyclotomic numbers in one pass over the nonzero elements."""
-    field, e = part.field, part.e
-    z = field.nonzero_codes()
-    z1 = field.succ_codes(z)
-    keep = z1 != 0
-    ci = part.cls_of[z[keep]]
-    cj = part.cls_of[z1[keep]]
-    counts = np.bincount(ci * e + cj, minlength=e * e).reshape(e, e)
+    """All e x e cyclotomic numbers, one O(f) pass per class."""
+    e = part.e
+    counts = np.stack([np.bincount(_successor_classes(part, i), minlength=e) for i in range(e)])
     return CycNumTable(e, counts.astype(np.int64), "brute-force")
 
 
@@ -306,8 +303,6 @@ def cyclotomic_numbers_order8(field: Field) -> CycNumTable:
                     cand,
                     "closed-form",
                     reps={"x": x, "y": y, "a": a, "b": b},
-                    resolved_y=y,
-                    resolved_b=b,
                 )
     raise CalibrationAmbiguous(
         f"no sign assignment of (y, b) = (+-{y_mag}, +-{b_mag}) reproduces the "

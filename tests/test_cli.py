@@ -216,6 +216,8 @@ def test_scan_mismatch_leaves_no_catalog(tmp_path, capsys, monkeypatch):
           "--reference", "[1, 3, 9]"], "ParseError"),
         (["catalog", "{tmp}/no-sets.jsonl"], "ParseError"),
         (["verify", "--p", "13", "--sets", "@{tmp}/missing.json", "--mode", "pds"], "ParseError"),
+        (["verify", "--p", "13", "--gen", "2", "--sets", "[[1,2],[3,6],[9,5]]", "--mode", "internal",
+          "--reference", ""], "ParseError"),
     ],
 )
 def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, error):

@@ -5,8 +5,8 @@ from cycloskew import (
     build_field,
     check_family,
     classes,
-    enumerate_applicable,
     get_recipe,
+    iter_applicable,
     registry,
     skew_from_families,
     swap_combinator,
@@ -166,7 +166,7 @@ def test_r24_gamma_minus_one_partitions_into_even_classes(gf13):
     # D_i = {i, -i} over i in C_0^4 are the even classes of order (q-1)/2
     gamma = gf13.neg(1)
     p4 = classes(gf13, 4)
-    assert int(p4.cls_of[gamma]) == 2
+    assert p4.class_of(gamma) == 2
     fam = {tuple(sorted((int(i), gf13.mul(gamma, int(i))))) for i in p4.members[0]}
     p6 = classes(gf13, 6)
     evens = {tuple(int(c) for c in p6.members[i]) for i in (0, 2, 4)}
@@ -188,7 +188,9 @@ def test_r25_gf25(gf25):
 
 
 def test_admissible_gammas_match_loops():
-    # the vectorized searches against the per-gamma loops they replaced
+    # the vectorized searches against the per-gamma loops they replaced;
+    # at q = 5 (mod 8), gamma = -1 lies in C_2^4 and 1 + gamma = 0 is in no
+    # class, so that gamma is never admissible for R25
     for q, p, m in prime_powers(5, 2000):
         if q % 8 not in (1, 5):
             continue
@@ -197,11 +199,11 @@ def test_admissible_gammas_match_loops():
         in_sq, out_sq, r25 = [], [], []
         for g in map(int, p4.members[2]):
             (in_sq if p2.class_of(f.sub(1, g)) == 0 else out_sq).append(g)
-            if q % 8 == 1 and {p4.class_of(f.sub(1, g)), p4.class_of(f.add(1, g))} == {0, 2}:
+            if g != f.neg(1) and {p4.class_of(f.sub(1, g)), p4.class_of(f.add(1, g))} == {0, 2}:
                 r25.append(g)
         assert [g.tolist() for g in r24_admissible_gammas(f)] == [in_sq, out_sq], q
-        if q % 8 == 1:
-            assert r25_admissible_gammas(f).tolist() == r25, q
+        assert r25_admissible_gammas(f).tolist() == r25, q
+    assert r25_admissible_gammas(build_field(13)).tolist() == []
 
 
 def test_swap_combinator(gf13, gf361):
@@ -327,13 +329,13 @@ def test_prediction_mismatch_surfaces(gf13):
 
 
 def test_enumerate_ranges():
-    assert enumerate_applicable(14, 16) == []
-    r1 = enumerate_applicable(5, 500, recipe_ids=["R1"], certify_cap=0)
+    assert list(iter_applicable(14, 16)) == []
+    r1 = list(iter_applicable(5, 500, recipe_ids=["R1"], certify_cap=0))
     assert sorted({c.field.q for c in r1}) == [13, 29, 53, 125, 173, 229, 293]
     assert all(c.certificate is None and not c.oracle_verified for c in r1)
 
 
 def test_enumerate_certified_deterministic():
-    a = enumerate_applicable(5, 120, certify_cap=120)
-    b = enumerate_applicable(5, 120, certify_cap=120)
+    a = list(iter_applicable(5, 120, certify_cap=120))
+    b = list(iter_applicable(5, 120, certify_cap=120))
     assert [c.to_json() for c in a] == [c.to_json() for c in b]

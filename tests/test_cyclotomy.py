@@ -52,13 +52,30 @@ def test_bruteforce_entries_gf13(gf13):
     assert cyclotomic_number_bruteforce(p1, 0, 0) == gf13.q - 2
 
 
-def test_bruteforce_table_matches_entrywise(gf13, gf25):
-    for f, e in ((gf13, 4), (gf25, 8)):
+def test_bruteforce_table_matches_entrywise(gf13, gf25, gf17):
+    gf41_6 = build_field(41, generator=6)
+    cases = [(gf13, 4), (gf25, 8)] + [(f, e) for f in (gf17, gf41_6) for e in (2, 4, 8)]
+    for f, e in cases:
         part = classes(f, e)
         table = bruteforce_table(part)
         for i in range(e):
             for j in range(e):
                 assert table.counts[i, j] == count_pairs(f, part, i, j)
+                assert cyclotomic_number_bruteforce(part, i, j) == count_pairs(f, part, i, j)
+
+
+def test_class_of_is_log_mod_e(gf25):
+    for e in (1, 2, 4, 8):
+        part = classes(gf25, e)
+        codes = np.arange(1, 25)
+        assert np.array_equal(part.class_of(codes), gf25.log[codes] % e)
+        assert [part.class_of(int(c)) for c in codes] == [int(gf25.log[c]) % e for c in codes]
+        for i, mem in enumerate(part.members):
+            assert set(part.class_of(mem).tolist()) == {i}
+        with pytest.raises(IndexOutOfRange):
+            part.class_of(0)
+        with pytest.raises(IndexOutOfRange):
+            part.class_of(np.array([3, 0, 5]))
 
 
 def test_order4_gf13_letters(gf13):
@@ -91,7 +108,7 @@ def test_order8_gf9_gf17(gf9, gf17):
     for f in (gf9, gf17):
         table = cyclotomic_numbers_order8(f)
         assert np.array_equal(table.counts, bruteforce_table(classes(f, 8)).counts)
-        assert table.resolved_y is not None and table.resolved_b is not None
+        assert table.reps["y"] is not None and table.reps["b"] is not None
     with pytest.raises(NotOneMod8):
         cyclotomic_numbers_order8(build_field(13))
 

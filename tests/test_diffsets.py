@@ -17,10 +17,10 @@ from cycloskew import (
     classes,
     cross_differences,
     diffsets,
-    enumerate_applicable,
     family_external,
     family_internal,
     internal_differences,
+    iter_applicable,
     verify_certificate,
 )
 from cycloskew.cli import main
@@ -650,7 +650,7 @@ def test_classifier_outputs_pinned(gf13, gf9, gf25):
     # the q <= 400 sweep, byte for byte as recorded before the lambda/mu
     # split and the mode dispatch were shared
     lines = [x for f in (gf13, gf9, gf25) for x in _classifier_lines(f)]
-    lines += [json.dumps(c.certificate.to_json()) for c in enumerate_applicable(2, 400, certify_cap=400)]
+    lines += [json.dumps(c.certificate.to_json()) for c in iter_applicable(2, 400, certify_cap=400)]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert (len(lines), digest) == (
         1010,
