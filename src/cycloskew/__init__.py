@@ -20,6 +20,8 @@ from .cyclotomy import (
     ClassPartition,
     CycNumTable,
     bruteforce_table,
+    class_of,
+    class_union,
     classes,
     closed_form_table,
     cyclotomic_number_bruteforce,

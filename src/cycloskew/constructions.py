@@ -37,7 +37,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .cyclotomy import ClassPartition, classes, cyclotomic_numbers_order8
+from .cyclotomy import class_of, class_union, cyclotomic_numbers_order8
 from .diffsets import (
     Certificate,
     _split,
@@ -273,12 +273,11 @@ def _union_plans(rows: tuple[UnionPlan, ...], note: str, field: Field, facts: Fi
     or that has no mu, is predicted as a DDF/EDF with no reference and
     carries the recipe's note."""
     q = facts.q
-    parts = {e: classes(field, e) for e in {e for row in rows for e in (row.e, row.ref[0])}}
     plans: list[Plan] = []
     for row in rows:
-        family = tuple(parts[row.e].union(*idx) for idx in row.sets)
+        family = tuple(class_union(field, row.e, idx) for idx in row.sets)
         ref_idx = row.ref[1:] if not row.by_t or facts.t == -2 else tuple(1 - i for i in row.ref[1:])
-        ref = parts[row.ref[0]].union(*ref_idx)
+        ref = class_union(field, row.ref[0], ref_idx)
         if row.zero:  # 0 is below every other code
             family, ref = (np.concatenate(([0], family[0])),), np.concatenate(([0], ref))
         if row.mode == "skew":
@@ -332,18 +331,17 @@ def _swapped(params: Callable[[FieldFacts], tuple[int, int]]) -> Callable[[Field
     return lambda f: params(f)[::-1]
 
 
-def _pair_family(field: Field, gamma: int, part4: ClassPartition) -> np.ndarray:
+def _pair_family(field: Field, gamma: int) -> np.ndarray:
     """The pairs {i, gamma*i} over i in C_0^4, one sorted row each."""
-    ones = part4.members[0]
+    ones = class_union(field, 4, (0,))
     return np.sort(np.stack([ones, field.mul_codes(ones, gamma)], axis=1), axis=1)
 
 
 def _build_r14(field, facts):
     q, t = facts.q, facts.t
-    p4, p2 = classes(field, 4), classes(field, 2)
-    fam = _pair_family(field, field.element(2), p4)
-    plans = _plan("internal", "internal", fam, p2.union(0), "RelativeDPDF", family_params(q, fam, 1, 0))
-    cls2 = p4.class_of(field.element(2))
+    fam, squares = _pair_family(field, field.element(2)), class_union(field, 2, (0,))
+    plans = _plan("internal", "internal", fam, squares, "RelativeDPDF", family_params(q, fam, 1, 0))
+    cls2 = class_of(field, 4, field.element(2))
     if (cls2 == 1 and t == -2) or (cls2 == 3 and t == 2):
         plans += _plan("external", "external", fam, None, "EDF", family_params(q, fam, (q - 5) // 4))
     else:
@@ -351,7 +349,7 @@ def _build_r14(field, facts):
             "external",
             "external",
             fam,
-            p2.union(0),
+            squares,
             "RelativeEPDF",
             family_params(q, fam, (q - 9) // 4, (q - 1) // 4),
         )
@@ -361,19 +359,17 @@ def _build_r14(field, facts):
 def r24_admissible_gammas(field: Field) -> tuple[np.ndarray, np.ndarray]:
     """Codes gamma in C_2^4 split by whether 1 - gamma is a square, that
     is in an even class of order 4."""
-    p4 = classes(field, 4)
-    gammas = p4.members[2]
-    square = p4.class_of(field.sub_codes(1, gammas)) % 2 == 0
+    gammas = class_union(field, 4, (2,))
+    square = class_of(field, 4, field.sub_codes(1, gammas)) % 2 == 0
     return gammas[square], gammas[~square]
 
 
 def _build_r24(field, facts):
     q = facts.q
-    p4 = classes(field, 4)
     in_sq, out_sq = r24_admissible_gammas(field)
     plans: list[Plan] = []
     if len(in_sq):
-        fam = _pair_family(field, in_sq[0], p4)
+        fam = _pair_family(field, in_sq[0])
         note = f"gamma={in_sq[0]}, derived branch"
         plans += _plan("in-sq-internal", "internal", fam, None, "DPDF", family_params(q, fam, 1, 0), note)
         plans += _plan(
@@ -386,7 +382,7 @@ def _build_r24(field, facts):
             note,
         )
     if len(out_sq):
-        fam = _pair_family(field, out_sq[0], p4)
+        fam = _pair_family(field, out_sq[0])
         note = f"gamma={out_sq[0]}"
         plans += _plan("out-sq-internal", "internal", fam, None, "DPDF", family_params(q, fam, 0, 1), note)
         plans += _plan(
@@ -397,18 +393,16 @@ def _build_r24(field, facts):
 
 def r25_admissible_gammas(field: Field) -> np.ndarray:
     """Codes gamma in C_2^4 with one of 1 -+ gamma in C_0^4, the other in C_2^4."""
-    p4 = classes(field, 4)
-    gammas = p4.members[2]
+    gammas = class_union(field, 4, (2,))
     gammas = gammas[gammas != field.neg(1)]  # 1 + gamma = 0 lies in no class; -1 is in C_2^4 if q = 5 (mod 8)
-    u, v = p4.class_of(field.sub_codes(1, gammas)), p4.class_of(field.add_codes(1, gammas))
+    u, v = class_of(field, 4, field.sub_codes(1, gammas)), class_of(field, 4, field.add_codes(1, gammas))
     return gammas[((u == 0) & (v == 2)) | ((u == 2) & (v == 0))]
 
 
 def _build_r25(field, facts):
     q = facts.q
-    p4 = classes(field, 4)
     gamma = r25_admissible_gammas(field)[0]
-    ones = p4.members[0]
+    ones = class_union(field, 4, (0,))
     reps = ones[ones < field.neg_codes(ones)]
     gamma_reps = field.mul_codes(reps, gamma)
     # gamma is not -1, which lies in C_0^4, so each orbit has four codes

@@ -1,8 +1,8 @@
 """Cyclotomic class partitions and cyclotomic number tables.
 
-C_i^e = g^i<g^e> is the slice exp[i::e] of the field's exp table, and
-the class of a nonzero code is its discrete log mod e, read off the log
-table by ClassPartition.class_of.  Cyclotomic number tables come in two
+C_i^e = g^i<g^e> is the slice exp[i::e] of the field's exp table, so a
+union of classes is sorted exp slices (class_union), and the class of a
+nonzero code is its log mod e (class_of).  Cyclotomic number tables come in two
 provenances: "brute-force" (one O(f) pass per class, counting solutions
 of z + 1 = w classwise) and "closed-form" (assembled from the quadratic
 form representations of q).  Closed forms exist for e = 2, 4, 8.
@@ -44,28 +44,36 @@ class ClassPartition:
     f: int
     members: list[np.ndarray]  # e arrays of f codes each, ascending
 
-    def class_of(self, codes):
-        """Class index of one nonzero code, or of each code of an array."""
-        logs = self.field.log[codes]
-        if np.any(logs < 0):
-            raise IndexOutOfRange("0 belongs to no cyclotomic class")
-        cls = logs % self.e
-        return int(cls) if np.ndim(cls) == 0 else cls
 
-    def union(self, *indices: int) -> np.ndarray:
-        """Sorted codes of the union of the given classes."""
-        for i in indices:
-            if not 0 <= i < self.e:
-                raise IndexOutOfRange(f"class index {i} out of range for e={self.e}")
-        return np.sort(np.concatenate([self.members[i] for i in indices]))
+def _check_order(field: Field, e: int) -> None:
+    if e < 1 or (field.q - 1) % e != 0:
+        raise OrderDoesNotDivide(f"e = {e} does not divide q-1 = {field.q - 1}")
+
+
+def class_union(field: Field, e: int, indices) -> np.ndarray:
+    """Sorted int64 codes of the union of the classes C_i^e, i in indices,
+    each code once; no index gives the empty slice exp[:0]."""
+    _check_order(field, e)
+    idx = sorted(set(indices))
+    if not all(0 <= i < e for i in idx):
+        raise IndexOutOfRange(f"class indices {idx} out of range for e={e}")
+    return np.sort(np.concatenate([field.exp[:0]] + [field.exp[i::e] for i in idx])).astype(np.int64)
+
+
+def class_of(field: Field, e: int, codes):
+    """Class index of one nonzero code, or of each code of an array: its
+    discrete log mod e.  IndexOutOfRange for any code outside [1, q)."""
+    _check_order(field, e)
+    arr = np.asarray(codes)  # a float array when codes is []; index with codes itself
+    if arr.size and (arr.min() < 1 or arr.max() >= field.q):
+        raise IndexOutOfRange(f"codes must be nonzero codes below q = {field.q}; 0 is in no class")
+    cls = field.log[codes] % e
+    return int(cls) if np.ndim(cls) == 0 else cls
 
 
 def classes(field: Field, e: int) -> ClassPartition:
-    q = field.q
-    if e < 1 or (q - 1) % e != 0:
-        raise OrderDoesNotDivide(f"e = {e} does not divide q-1 = {q - 1}")
-    members = [np.sort(field.exp[i::e]).astype(np.int64) for i in range(e)]
-    return ClassPartition(field, e, (q - 1) // e, members)
+    _check_order(field, e)
+    return ClassPartition(field, e, (field.q - 1) // e, [class_union(field, e, (i,)) for i in range(e)])
 
 
 @dataclass
@@ -87,7 +95,7 @@ def cyclotomic_number_bruteforce(part: ClassPartition, i: int, j: int) -> int:
 def _successor_classes(part: ClassPartition, i: int) -> np.ndarray:
     """Classes of z + 1 over z in C_i, with z + 1 = 0 dropped."""
     z1 = part.field.succ_codes(part.members[i])
-    return part.class_of(z1[z1 != 0])
+    return class_of(part.field, part.e, z1[z1 != 0])
 
 
 def bruteforce_table(part: ClassPartition) -> CycNumTable:
@@ -320,8 +328,7 @@ def _order2_table(field: Field) -> CycNumTable:
 
 
 def closed_form_table(field: Field, e: int) -> CycNumTable:
-    if (field.q - 1) % e != 0:
-        raise OrderDoesNotDivide(f"e = {e} does not divide q-1 = {field.q - 1}")
+    _check_order(field, e)
     if e == 2:
         return _order2_table(field)
     if e == 4:

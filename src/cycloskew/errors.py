@@ -47,10 +47,6 @@ class NoRepresentation(CycloskewError):
     pass
 
 
-class OrderNotDivisible(CycloskewError):
-    pass
-
-
 # cyclotomy
 class OrderDoesNotDivide(CycloskewError):
     pass

@@ -18,7 +18,7 @@ from .errors import (
     NoRepresentation,
     NotOneMod4,
     NotPrimePower,
-    OrderNotDivisible,
+    OrderDoesNotDivide,
 )
 from .field import Field, is_prime
 
@@ -136,7 +136,7 @@ def a2_2b2_rep(q: int, p: int, m: int) -> QuadRepAB:
 def is_quartic_residue(field: Field, code: int) -> bool:
     """True iff the discrete log of the element is divisible by 4."""
     if (field.q - 1) % 4 != 0:
-        raise OrderNotDivisible(f"4 does not divide q-1 = {field.q - 1}")
+        raise OrderDoesNotDivide(f"4 does not divide q-1 = {field.q - 1}")
     return field.dlog(code) % 4 == 0
 
 

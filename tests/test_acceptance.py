@@ -17,6 +17,7 @@ from cycloskew import (
     bruteforce_table,
     check_pds,
     check_skew_pds,
+    class_union,
     classes,
     cyclotomic_numbers_order4,
     cyclotomic_numbers_order8,
@@ -198,7 +199,7 @@ def test_criterion_3_worked_examples():
 
     # GF(361)
     f361 = build_field(19, 2)
-    c361 = check_skew_pds(f361, classes(f361, 8).union(3, 5))
+    c361 = check_skew_pds(f361, class_union(f361, 8, (3, 5)))
     assert c361.kind == "SkewPDS"
     assert c361.params == {"v": 361, "k": 90, "lambda": 29, "mu": 20}
     _collect_skew_cert(f361, c361)
@@ -358,7 +359,7 @@ def test_criterion_6b_quartic_union_never_pds_mod8():
     assert f9.generator == 3 and f9.pow(3, 3) == 8 and f9.pow(3, 4) == f9.element(-1)
     lines = {f9.mul(c, 1) for c in range(3)} | {f9.mul(c, 8) for c in range(3)}
     assert lines - {0} == {1, 2, 4, 8}
-    d9 = classes(f9, 4).union(0, 3)
+    d9 = class_union(f9, 4, (0, 3))
     assert [int(c) for c in d9] == [1, 2, 4, 8]
     cert9 = check_pds(f9, d9)
     assert cert9.kind == "PDS" and cert9.params == {"v": 9, "k": 4, "lambda": 1, "mu": 2}
@@ -370,7 +371,7 @@ def test_criterion_6b_quartic_union_never_pds_mod8():
         n_fields += 1
         f = build_field(p, m)
         part = classes(f, 4)
-        d = part.union(0, 3)
+        d = class_union(f, 4, (0, 3))
         exception = p % 4 == 3 and m % 2 == 0
         # closed form: Delta(D) = Delta(C_0) + Delta(C_3) + Delta(C_0, C_3) + Delta(C_3, C_0)
         table = cyclotomic_numbers_order4(f)

@@ -4,6 +4,8 @@ from cycloskew import (
     apply,
     build_field,
     check_family,
+    class_of,
+    class_union,
     classes,
     get_recipe,
     iter_applicable,
@@ -88,10 +90,9 @@ def test_r5_shift_family(gf361):
     # every C_i^8 u C_{i+2}^8 is a skew PDS matching C_{i+1}^4
     from cycloskew import check_skew_pds
 
-    p8 = classes(gf361, 8)
     p4 = classes(gf361, 4)
     for i in range(8):
-        cert = check_skew_pds(gf361, p8.union(i, (i + 2) % 8))
+        cert = check_skew_pds(gf361, class_union(gf361, 8, (i, (i + 2) % 8)))
         assert cert.ok
         assert cert.params == {"v": 361, "k": 90, "lambda": 29, "mu": 20}
         assert cert.reference_set.tolist() == [int(c) for c in p4.members[(i + 1) % 4]]
@@ -165,9 +166,8 @@ def test_r24_gf13(gf13):
 def test_r24_gamma_minus_one_partitions_into_even_classes(gf13):
     # D_i = {i, -i} over i in C_0^4 are the even classes of order (q-1)/2
     gamma = gf13.neg(1)
-    p4 = classes(gf13, 4)
-    assert p4.class_of(gamma) == 2
-    fam = {tuple(sorted((int(i), gf13.mul(gamma, int(i))))) for i in p4.members[0]}
+    assert class_of(gf13, 4, gamma) == 2
+    fam = {tuple(sorted((int(i), gf13.mul(gamma, int(i))))) for i in class_union(gf13, 4, (0,))}
     p6 = classes(gf13, 6)
     evens = {tuple(int(c) for c in p6.members[i]) for i in (0, 2, 4)}
     assert fam == evens
@@ -195,15 +195,38 @@ def test_admissible_gammas_match_loops():
         if q % 8 not in (1, 5):
             continue
         f = build_field(p, m)
-        p4, p2 = classes(f, 4), classes(f, 2)
         in_sq, out_sq, r25 = [], [], []
-        for g in map(int, p4.members[2]):
-            (in_sq if p2.class_of(f.sub(1, g)) == 0 else out_sq).append(g)
-            if g != f.neg(1) and {p4.class_of(f.sub(1, g)), p4.class_of(f.add(1, g))} == {0, 2}:
+        for g in map(int, class_union(f, 4, (2,))):
+            (in_sq if class_of(f, 2, f.sub(1, g)) == 0 else out_sq).append(g)
+            if g != f.neg(1) and {class_of(f, 4, f.sub(1, g)), class_of(f, 4, f.add(1, g))} == {0, 2}:
                 r25.append(g)
         assert [g.tolist() for g in r24_admissible_gammas(f)] == [in_sq, out_sq], q
         assert r25_admissible_gammas(f).tolist() == r25, q
     assert r25_admissible_gammas(build_field(13)).tolist() == []
+
+
+def test_recipes_build_no_partition(monkeypatch):
+    # recipes read class unions off the exp table; the only partitions left
+    # are the order-8 calibrations of field_facts, one per field with
+    # q = 1 (mod 8)
+    import cycloskew.constructions as cons
+    from cycloskew.cyclotomy import ClassPartition
+
+    made, built = [], []
+    init, build = ClassPartition.__init__, cons.build_field
+
+    def counting_init(self, *args):
+        made.append(args[1])
+        init(self, *args)
+
+    def recording_build(p, m):
+        built.append(p**m)
+        return build(p, m)
+
+    monkeypatch.setattr(ClassPartition, "__init__", counting_init)
+    monkeypatch.setattr(cons, "build_field", recording_build)
+    assert sum(1 for _ in iter_applicable(2, 2500, certify_cap=0)) > 0
+    assert len(made) <= sum(q % 8 == 1 for q in built) and set(made) <= {8}
 
 
 def test_swap_combinator(gf13, gf361):
@@ -212,9 +235,8 @@ def test_swap_combinator(gf13, gf361):
     assert single.certificate.kind == "RelativeDPDF"
     assert single.certificate.params == {"v": 13, "m": 1, "k": 6, "lambda": 2, "mu": 3}
 
-    p8 = classes(gf361, 8)
     p4 = classes(gf361, 4)
-    pairs = [(p8.union(3, 5), p4.members[0]), (p8.union(2, 6), p4.members[2])]
+    pairs = [(class_union(gf361, 8, (3, 5)), p4.members[0]), (class_union(gf361, 8, (2, 6)), p4.members[2])]
     x = field_facts(gf361).x
     combo = swap_combinator(gf361, pairs)
     q = 361
@@ -288,9 +310,8 @@ def test_combinators_reject_set_defects_as_check_family(gf13, defect, expect):
 def test_skew_from_families_gf25(gf25):
     # the R19 family: Int is a DPDF relative to the squares; the union is a
     # skew PDS iff Ext also lines up, which the oracle decides
-    p8 = classes(gf25, 8)
     p2 = classes(gf25, 2)
-    fam = [p8.union(0, 3), p8.union(1, 6)]
+    fam = [class_union(gf25, 8, (0, 3)), class_union(gf25, 8, (1, 6))]
     from cycloskew import family_external
 
     ext = family_external(gf25, fam)

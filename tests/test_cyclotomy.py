@@ -1,9 +1,13 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from cycloskew import (
     build_field,
     bruteforce_table,
+    class_of,
+    class_union,
     classes,
     closed_form_table,
     cyclotomic_number_bruteforce,
@@ -38,8 +42,45 @@ def test_classes_order_one(gf13):
 
 
 def test_classes_errors(gf13):
-    with pytest.raises(OrderDoesNotDivide):
-        classes(gf13, 5)
+    for e in (5, 0, -4):
+        with pytest.raises(OrderDoesNotDivide):
+            classes(gf13, e)
+        with pytest.raises(OrderDoesNotDivide):
+            class_union(gf13, e, (0,))
+    for idx in ((4,), (-1,), (0, 4)):
+        with pytest.raises(IndexOutOfRange):
+            class_union(gf13, 4, idx)
+
+
+def test_class_union_is_a_set(gf13):
+    assert class_union(gf13, 4, (1, 1)).tolist() == [2, 5, 6]
+    assert class_union(gf13, 4, (3, 1, 3)).tolist() == [2, 5, 6, 7, 8, 11]
+    empty = class_union(gf13, 4, ())
+    assert empty.dtype == np.int64 and empty.size == 0
+
+
+def _index_subsets(e, rng):
+    if e <= 4:
+        return [s for r in range(e + 1) for s in combinations(range(e), r)]
+    return [tuple(rng.choice(e, size=rng.integers(0, e + 1), replace=False).tolist()) for _ in range(24)]
+
+
+def test_class_union_matches_partition_and_log_mask(gf13_7, gf25):
+    # the exp slices against the partition's members and against a mask
+    # of the log table, on a default field and two non-default generators
+    rng = np.random.default_rng(20261018)
+    for f in (build_field(41), gf13_7, gf25):
+        for e in (1, 2, 4, 8):
+            if (f.q - 1) % e:
+                continue
+            part = classes(f, e)
+            for idx in _index_subsets(e, rng):
+                union = class_union(f, e, idx)
+                by_part = np.sort(np.concatenate([np.empty(0, np.int64)] + [part.members[i] for i in idx]))
+                by_log = np.flatnonzero(np.isin(f.log % e, list(idx)))
+                assert union.dtype == np.int64
+                assert np.array_equal(union, by_part), (f.q, e, idx)
+                assert np.array_equal(union, by_log[by_log != 0]), (f.q, e, idx)
 
 
 def test_bruteforce_entries_gf13(gf13):
@@ -66,16 +107,18 @@ def test_bruteforce_table_matches_entrywise(gf13, gf25, gf17):
 
 def test_class_of_is_log_mod_e(gf25):
     for e in (1, 2, 4, 8):
-        part = classes(gf25, e)
         codes = np.arange(1, 25)
-        assert np.array_equal(part.class_of(codes), gf25.log[codes] % e)
-        assert [part.class_of(int(c)) for c in codes] == [int(gf25.log[c]) % e for c in codes]
-        for i, mem in enumerate(part.members):
-            assert set(part.class_of(mem).tolist()) == {i}
-        with pytest.raises(IndexOutOfRange):
-            part.class_of(0)
-        with pytest.raises(IndexOutOfRange):
-            part.class_of(np.array([3, 0, 5]))
+        assert np.array_equal(class_of(gf25, e, codes), gf25.log[codes] % e)
+        assert [class_of(gf25, e, int(c)) for c in codes] == [int(gf25.log[c]) % e for c in codes]
+        for i, mem in enumerate(classes(gf25, e).members):
+            assert set(class_of(gf25, e, mem).tolist()) == {i}
+        assert class_of(gf25, e, []).tolist() == []
+        # 0 is in no class, and numpy would wrap -1 to code q - 1
+        for bad in (0, -1, 25, np.array([3, 0, 5]), np.array([3, -1]), [3, 25]):
+            with pytest.raises(IndexOutOfRange):
+                class_of(gf25, e, bad)
+    with pytest.raises(OrderDoesNotDivide):
+        class_of(gf25, 5, 1)
 
 
 def test_order4_gf13_letters(gf13):

@@ -14,6 +14,7 @@ from cycloskew import (
     check_family,
     check_pds,
     check_skew_pds,
+    class_union,
     classes,
     cross_differences,
     diffsets,
@@ -237,8 +238,7 @@ def test_check_skew_examples(gf13, gf361):
     shifted = check_skew_pds(gf13, [(c + 5) % 13 for c in [1, 3, 4, 9, 10, 12]])
     assert shifted.kind == "TrivialSkewPDS" and shifted.translate_offset == 5
 
-    p8 = classes(gf361, 8)
-    cert361 = check_skew_pds(gf361, p8.union(3, 5))
+    cert361 = check_skew_pds(gf361, class_union(gf361, 8, (3, 5)))
     assert cert361.kind == "SkewPDS"
     assert cert361.params == {"v": 361, "k": 90, "lambda": 29, "mu": 20}
     assert cert361.reference_set.tolist() == [int(c) for c in classes(gf361, 4).members[0]]
@@ -283,7 +283,7 @@ def test_prop22_derived_sets():
 
 
 def test_complement_law(gf13, gf361):
-    for f, D in ((gf13, [1, 3, 7, 8, 9, 11]), (gf361, classes(gf361, 8).union(3, 5))):
+    for f, D in ((gf13, [1, 3, 7, 8, 9, 11]), (gf361, class_union(gf361, 8, (3, 5)))):
         cert = check_skew_pds(f, D)
         v, k = cert.params["v"], cert.params["k"]
         lam, mu = cert.params["lambda"], cert.params["mu"]
@@ -301,9 +301,8 @@ def test_complement_law(gf13, gf361):
 
 
 def test_check_family_examples(gf25, gf13):
-    p8 = classes(gf25, 8)
     p2 = classes(gf25, 2)
-    fam = [p8.union(0, 3), p8.union(1, 6)]
+    fam = [class_union(gf25, 8, (0, 3)), class_union(gf25, 8, (1, 6))]
     cert = check_family(gf25, fam, "internal", reference=p2.members[0])
     assert cert.kind == "RelativeDPDF"
     assert cert.params == {"v": 25, "m": 2, "k": 6, "lambda": 2, "mu": 3}
@@ -624,8 +623,9 @@ def _classifier_lines(field):
     certificate, or the type of the error raised."""
     q, c2, c4 = field.q, classes(field, 2), classes(field, 4)
     star, every = list(range(1, q)), list(range(q))
-    sets = [[], [0], star, every, [1], [q - 1], [0, 1], c2.members[0], c2.union(1), [0, *c2.members[0]],
-            c4.union(0, 3), c4.union(0, 1), [0, *c4.union(1, 2)]]
+    sets = [[], [0], star, every, [1], [q - 1], [0, 1], c2.members[0], class_union(field, 2, (1,)),
+            [0, *c2.members[0]], class_union(field, 4, (0, 3)), class_union(field, 4, (0, 1)),
+            [0, *class_union(field, 4, (1, 2))]]
     families = [[], [[]], [[1]], [star], [[c] for c in star], [[1], [2]], list(c4.members), [c4.members[0]],
                 [c4.members[0], c4.members[3]], [c2.members[0]], [[0, 1]], [[1, 2], [2, 3]],
                 [[int(i), field.mul(2, int(i))] for i in c4.members[0]]]

@@ -9,7 +9,7 @@ from cycloskew import (
     x2_4y2_rep,
 )
 from cycloskew.constructions import prime_powers
-from cycloskew.errors import NotOneMod4, NotPrimePower, OrderNotDivisible
+from cycloskew.errors import NotOneMod4, NotPrimePower, OrderDoesNotDivide
 
 
 def test_prime_power_decompose():
@@ -68,7 +68,7 @@ def test_quartic_residues(gf13, gf17, gf81):
         k += 1
     assert k == 14 and k % 4 != 0
     assert is_quartic_residue(gf17, 2) is False
-    with pytest.raises(OrderNotDivisible):
+    with pytest.raises(OrderDoesNotDivide):
         is_quartic_residue(build_field(7), 2)
 
 
