@@ -39,7 +39,7 @@ from .constructions import (
     recheck,
     registry,
 )
-from .cyclotomy import bruteforce_table, classes, closed_form_table
+from .cyclotomy import bruteforce_table, closed_form_table
 from .diffsets import SET_MODES, certify
 from .errors import BoundTooLarge, CycloskewError, ParseError
 from .field import build_field
@@ -205,16 +205,16 @@ def cmd_verify(args) -> int:
 
 def cmd_cycnum(args) -> int:
     field = _field_from_args(args)
-    part = classes(field, args.e)
-    header = {"q": field.q, "p": field.p, "m": field.m, "e": args.e, "f": part.f}
+    tables = {}  # building a table checks that e divides q - 1
+    if args.variant in ("brute-force", "compare"):
+        tables["brute-force"] = bruteforce_table(field, args.e)
+    if args.variant in ("closed-form", "compare"):
+        tables["closed-form"] = closed_form_table(field, args.e)
+    header = {"q": field.q, "p": field.p, "m": field.m, "e": args.e, "f": (field.q - 1) // args.e}
     if field.q % 4 == 1:
         s, t = two_squares_rep(field)
         header.update({"s": s, "t": t})
-    tables = {}
-    if args.variant in ("brute-force", "compare"):
-        tables["brute-force"] = bruteforce_table(part)
-    if args.variant in ("closed-form", "compare"):
-        tables["closed-form"] = closed_form_table(field, args.e)
+    if "closed-form" in tables:
         cf = tables["closed-form"]
         header.update({k: v for k, v in cf.reps.items()})
         if args.e == 8:

@@ -15,11 +15,12 @@ builder turns them into plans; a family whose predicted lambda equals
 its mu is predicted as a DDF/EDF.  Only the pair and quadruple families
 of R14, R24 and R25 have builders of their own.
 
-Prechecks are arithmetic-only (q, p, m and the quadratic form
-representations), so ranges can be filtered without building fields.
-Full applicability may also need field facts: the sign of t, the
-calibrated signs of y and b, and whether 2 is a quartic residue, all of
-which depend on the chosen generator.
+Applicability is decided from (q, p, m) alone: congruences, the
+quadratic form representations and whether 2 is a quartic residue (the
+fourth powers are the one subgroup of index 4, so no generator enters).
+Ranges are filtered without building fields.  The field facts that do
+depend on the generator, the sign of t and the calibrated signs of y
+and b, only shape the predicted parameters and references.
 
 Recipes carrying suspect=True have frequency formulas that needed
 re-derivation from the underlying counting argument; the oracle is
@@ -89,7 +90,6 @@ class FieldFacts:
     a: int | None = None
     y: int | None = None  # calibrated sign, q = 1 mod 8 only
     b: int | None = None
-    two_qr: bool | None = None
 
 
 _FACTS_CACHE: "weakref.WeakKeyDictionary[Field, FieldFacts]" = weakref.WeakKeyDictionary()
@@ -105,7 +105,6 @@ def field_facts(field: Field) -> FieldFacts:
         facts.t = two_squares_rep(field).t
         facts.x = x2_4y2_rep(q, p, m).x
         facts.a = _a_value(q, p, m)
-        facts.two_qr = two_is_quartic_residue(field)
     if q % 8 == 1:
         table = cyclotomic_numbers_order8(field)
         facts.y, facts.b = table.reps["y"], table.reps["b"]
@@ -137,13 +136,11 @@ class Recipe:
     conditions: str
     formulas: str
     precheck: Callable[[int, int, int], bool]
-    extra: Callable[[Field, FieldFacts], bool]
     build: Callable[[Field, FieldFacts], list[Plan]]
     suspect: bool = False
 
     def applicable(self, field: Field) -> bool:
-        facts = field_facts(field)
-        return self.precheck(facts.q, facts.p, facts.m) and self.extra(field, facts)
+        return self.precheck(field.q, field.p, field.m)
 
     def plans(self, field: Field) -> list[Plan]:
         if not self.applicable(field):
@@ -230,22 +227,6 @@ def _a_value(q, p, m) -> int | None:
         return None
 
 
-def _true(field: Field, facts: FieldFacts) -> bool:
-    return True
-
-
-def _needs_2qr(field: Field, facts: FieldFacts) -> bool:
-    return bool(facts.two_qr)
-
-
-def _needs_2nqr(field: Field, facts: FieldFacts) -> bool:
-    return facts.two_qr is False
-
-
-def _has_r25_gamma(field: Field, facts: FieldFacts) -> bool:
-    return len(r25_admissible_gammas(field)) > 0
-
-
 # ---- builders ----
 
 
@@ -270,27 +251,27 @@ class UnionPlan:
 
 def _union_plans(rows: tuple[UnionPlan, ...], note: str, field: Field, facts: FieldFacts) -> list[Plan]:
     """Plans of a class-union recipe.  A family whose lambda equals its mu,
-    or that has no mu, is predicted as a DDF/EDF with no reference and
-    carries the recipe's note."""
+    or that has no mu, is predicted as a DDF/EDF with no reference (none is
+    built) and carries the recipe's note."""
     q = facts.q
     plans: list[Plan] = []
     for row in rows:
         family = tuple(class_union(field, row.e, idx) for idx in row.sets)
+        params = row.params(facts)
+        if row.mode != "skew" and (params[1] is None or params[0] == params[1]):
+            kind = "DDF" if row.mode == "internal" else "EDF"
+            plans += _plan(row.label, row.mode, family, None, kind, family_params(q, family, params[0]), note)
+            continue
         ref_idx = row.ref[1:] if not row.by_t or facts.t == -2 else tuple(1 - i for i in row.ref[1:])
         ref = class_union(field, row.ref[0], ref_idx)
         if row.zero:  # 0 is below every other code
             family, ref = (np.concatenate(([0], family[0])),), np.concatenate(([0], ref))
         if row.mode == "skew":
-            k, lam, mu = row.params(facts)
+            k, lam, mu = params
             plans += _plan(row.label, "skew", family, ref, "SkewPDS", {"v": q, "k": k, "lambda": lam, "mu": mu})
-            continue
-        lam, mu = row.params(facts)
-        if mu is None or lam == mu:
-            kind = "DDF" if row.mode == "internal" else "EDF"
-            plans += _plan(row.label, row.mode, family, None, kind, family_params(q, family, lam), note)
         else:
             kind = "RelativeDPDF" if row.mode == "internal" else "RelativeEPDF"
-            plans += _plan(row.label, row.mode, family, ref, kind, family_params(q, family, lam, mu))
+            plans += _plan(row.label, row.mode, family, ref, kind, family_params(q, family, *params))
     return plans
 
 
@@ -401,7 +382,10 @@ def r25_admissible_gammas(field: Field) -> np.ndarray:
 
 def _build_r25(field, facts):
     q = facts.q
-    gamma = r25_admissible_gammas(field)[0]
+    gammas = r25_admissible_gammas(field)
+    if not len(gammas):
+        return []
+    gamma = gammas[0]
     ones = class_union(field, 4, (0,))
     reps = ones[ones < field.neg_codes(ones)]
     gamma_reps = field.mul_codes(reps, gamma)
@@ -419,115 +403,115 @@ def _recipes() -> list[Recipe]:
     R, U = Recipe, UnionPlan
     items = [
         R("R1", "skew C0^4 u C3^4", "SkewPDS", "q = 5 (mod 8), q = s^2 + 4, q > 5",
-          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2, _true,
+          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2,
           _union(U("D", "skew", 4, ((0, 3),), _paley, by_t=True))),
         R("R2", "skew C0^4 u C1^4", "SkewPDS", "q = 5 (mod 8), q = s^2 + 4, q > 5",
-          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2, _true,
+          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2,
           _union(U("D", "skew", 4, ((0, 1),), _paley, (2, 1), by_t=True))),
         R("R3", "negative of R1", "SkewPDS", "q = 5 (mod 8), q = s^2 + 4, q > 5",
-          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2, _true,
+          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_t2,
           _union(U("negative", "skew", 4, ((1, 2),), _paley, by_t=True))),
         R("R4", "complement of R1 with 0", "SkewPDS", "q = 5 (mod 8), q = s^2 + 4, q > 5",
-          "(q,(q+1)/2,(q+3)/4,(q-1)/4)", _pre_t2, _true,
+          "(q,(q+1)/2,(q+3)/4,(q-1)/4)", _pre_t2,
           _union(U("complement", "skew", 4, ((1, 2),), _paley_complement, (2, 1), zero=True, by_t=True))),
         R("R5", "skew C3^8 u C5^8", "SkewPDS", "p = 3 (mod 8), m = 2 (mod 4), x + a = -2",
-          "(q,(q-1)/4,(q-11-6x)/16,(q-3+2x)/16)", _pre_x_plus_a, _true,
+          "(q,(q-1)/4,(q-11-6x)/16,(q-3+2x)/16)", _pre_x_plus_a,
           _union(U("D", "skew", 8, ((3, 5),), _r5, (4, 0)))),
         R("R6", "complement and negative of R5", "SkewPDS", "p = 3 (mod 8), m = 2 (mod 4), x + a = -2",
           "(q,(3q+1)/4,(9q+5+2x)/16,(9q-3-6x)/16); (q,(q-1)/4,(q-11-6x)/16,(q-3+2x)/16)",
-          _pre_x_plus_a, _true,
+          _pre_x_plus_a,
           _union(U("complement", "skew", 8, ((0, 1, 2, 4, 6, 7),),
                    lambda f: ((3 * f.q + 1) // 4, (9 * f.q + 5 + 2 * f.x) // 16, (9 * f.q - 3 - 6 * f.x) // 16),
                    (4, 1, 2, 3), zero=True),
                  U("negative", "skew", 8, ((1, 7),), _r5, (4, 0)))),
         R("R7", "R5 via l = c^2/2 + 1", "SkewPDS", "q = l^2, l = 3 (mod 8) prime power, l = c^2/2 + 1",
-          "(q,(q-1)/4,(q-11+6l)/16,(q-3-2l)/16)", _pre_r7, _true,
+          "(q,(q-1)/4,(q-11+6l)/16,(q-3-2l)/16)", _pre_r7,
           _union(U("D", "skew", 8, ((3, 5),), _r7, (4, 0)))),
         R("R8", "skew Paley C0^8 u C1^8 u C2^8 u C5^8", "SkewPDS",
           "p = 3 (mod 8), m = 2 (mod 4), a = x + 4",
-          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_a_is_x4, _true, _union(U("D", "skew", 8, ((0, 1, 2, 5),), _paley))),
+          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_a_is_x4, _union(U("D", "skew", 8, ((0, 1, 2, 5),), _paley))),
         R("R9", "complement and negative of R8", "SkewPDS", "p = 3 (mod 8), m = 2 (mod 4), a = x + 4",
-          "(q,(q+1)/2,(q+3)/4,(q-1)/4); (q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_a_is_x4, _true,
+          "(q,(q+1)/2,(q+3)/4,(q-1)/4); (q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_a_is_x4,
           _union(U("complement", "skew", 8, ((3, 4, 6, 7),), _paley_complement, (2, 1), zero=True),
                  U("negative", "skew", 8, ((1, 4, 5, 6),), _paley))),
         R("R10", "R8 via l = d^2 + 2", "SkewPDS", "q = l^2, l = d^2 + 2 = 3 (mod 8) prime power",
-          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_r10, _true, _union(U("D", "skew", 8, ((0, 1, 2, 5),), _paley))),
+          "(q,(q-1)/2,(q-5)/4,(q-1)/4)", _pre_r10, _union(U("D", "skew", 8, ((0, 1, 2, 5),), _paley))),
         R("R11", "one-set DPDF C0^8", "RelativeDPDF", "q = 9 (mod 16), 2 quartic residue, a = 1",
           "(q,1,(q-1)/8;(q-15-2x)/64,(q-3+2x)/64)",
-          lambda q, p, m: q % 16 == 9 and _a_value(q, p, m) == 1, _needs_2qr,
+          lambda q, p, m: q % 16 == 9 and _a_value(q, p, m) == 1 and two_is_quartic_residue(q, p),
           _union(U("D", "internal", 8, ((0,),), lambda f: ((f.q - 15 - 2 * f.x) // 64, (f.q - 3 + 2 * f.x) // 64)),
                  note="degenerate branch"), suspect=True),
         R("R12", "DPDF pairs from skew swap", "RelativeDPDF", "p = 3 (mod 8), m = 2 (mod 4), x + a = -2",
-          "(q,2,(q-1)/4;(q-7-2x)/8,(q-3+2x)/8)", _pre_x_plus_a, _true,
+          "(q,2,(q-1)/4;(q-7-2x)/8,(q-3+2x)/8)", _pre_x_plus_a,
           _union(U("D1", "internal", 8, ((3, 5), (2, 6)), _r12_hi_lo),
                  U("D2", "internal", 8, ((0, 2), (3, 7)), _swapped(_r12_hi_lo)))),
         R("R13", "family {C0^4, C3^4}", "RelativeEPDF", "q = 5 (mod 8), q = s^2 + 4, q > 5",
-          "DDF (q,2,(q-1)/4,(q-5)/8); EPDF (q,2,(q-1)/4;(q-5)/8,(q+3)/8)", _pre_t2, _true,
+          "DDF (q,2,(q-1)/4,(q-5)/8); EPDF (q,2,(q-1)/4;(q-5)/8,(q+3)/8)", _pre_t2,
           _union(U("internal", "internal", 4, ((0,), (3,)), lambda f: ((f.q - 5) // 8, None)),
                  U("external", "external", 4, ((0,), (3,)),
                    lambda f: ((f.q - 5) // 8, (f.q + 3) // 8) if f.t == -2 else ((f.q + 3) // 8, (f.q - 5) // 8))),
           suspect=True),
         R("R14", "pair family {i, 2i}, i in C0^4", "RelativeDPDF", "q = 5 (mod 8), q = s^2 + 4, q > 5",
           "DPDF (q,(q-1)/4,2;1,0); EDF (q,(q-1)/4,2,(q-5)/4) or EPDF (q,(q-1)/4,2;(q-9)/4,(q-1)/4)",
-          _pre_t2, _true, _build_r14),
+          _pre_t2, _build_r14),
         R("R15", "family {C0^8, C2^8}", "RelativeDPDF", "q = 9 (mod 16)",
           "(q,2,(q-1)/8;(q-11-2x-4a)/32,(q-7+2x+4a)/32), DDF (q-9)/32 when x+2a = -1",
-          lambda q, p, m: q % 16 == 9, _true,
+          lambda q, p, m: q % 16 == 9,
           _union(U("D", "internal", 8, ((0,), (2,)),
                    lambda f: ((f.q - 11 - 2 * f.x - 4 * f.a) // 32, (f.q - 7 + 2 * f.x + 4 * f.a) // 32)))),
         R("R16", "family {C0^8, C1^8, C4^8, C6^8}", "RelativeDPDF",
           "q = 9 (mod 16), 2 quartic residue, a = 1",
           "(q,4,(q-1)/8;(q-12-x)/16,(q-6+x)/16)",
-          lambda q, p, m: q % 16 == 9 and _a_value(q, p, m) == 1, _needs_2qr,
+          lambda q, p, m: q % 16 == 9 and _a_value(q, p, m) == 1 and two_is_quartic_residue(q, p),
           _union(U("D", "internal", 8, ((0,), (1,), (4,), (6,)),
                    lambda f: ((f.q - 12 - f.x) // 16, (f.q - 6 + f.x) // 16)),
                  note="degenerate branch")),
         R("R17", "family {C0^8 u C1^8, C2^8 u C3^8}", "RelativeDPDF", "q = 9 (mod 16)",
           "(q,2,(q-1)/4;(q-5+2y-2b)/8,(q-5-2y+2b)/8), DDF (q-5)/8 when y = b",
-          lambda q, p, m: q % 16 == 9, _true,
+          lambda q, p, m: q % 16 == 9,
           _union(U("D", "internal", 8, ((0, 1), (2, 3)),
                    lambda f: ((f.q - 5 + 2 * f.y - 2 * f.b) // 8, (f.q - 5 - 2 * f.y + 2 * f.b) // 8)))),
         R("R18", "families {C0^8 u C3^8, C1^8 u C6^8} and {C0^8 u C5^8, C2^8 u C7^8}", "RelativeDPDF",
           "q = 9 (mod 16)",
           "(q,2,(q-1)/4;(q-5-2y-2b)/8,(q-5+2y+2b)/8) and swapped, DDFs when y = -b",
-          lambda q, p, m: q % 16 == 9, _true,
+          lambda q, p, m: q % 16 == 9,
           _union(U("D1", "internal", 8, ((0, 3), (1, 6)), _r18_lo_hi),
                  U("D2", "internal", 8, ((0, 5), (2, 7)), _swapped(_r18_lo_hi)))),
         R("R19", "R18 at q = p^2, p = 5 (mod 8)", "RelativeDPDF", "q = p^2, p = 5 (mod 8) prime",
           "(q,2,(q-1)/4;(q-5-2y)/8,(q-5+2y)/8) and swapped",
-          lambda q, p, m: m == 2 and p % 8 == 5, _true,
+          lambda q, p, m: m == 2 and p % 8 == 5,
           _union(U("D1", "internal", 8, ((0, 3), (1, 6)), _r19_lo_hi),
                  U("D2", "internal", 8, ((0, 5), (2, 7)), _swapped(_r19_lo_hi)))),
         R("R20", "families {C0^8 u C1^8, C2^8 u C7^8} and {C0^8 u C1^8, C3^8 u C6^8}", "RelativeDPDF",
           "p = 5 (mod 8), m = 2 (mod 4)",
           "(q,2,(q-1)/4;(q-5+2y)/8,(q-5-2y)/8)",
-          lambda q, p, m: p % 8 == 5 and m % 4 == 2, _true,
+          lambda q, p, m: p % 8 == 5 and m % 4 == 2,
           _union(U("D1", "internal", 8, ((0, 1), (2, 7)), _swapped(_r19_lo_hi)),
                  U("D2", "internal", 8, ((0, 1), (3, 6)), _swapped(_r19_lo_hi)))),
         R("R21", "external family {C0^8, C4^8}", "RelativeEPDF",
           "q = 1 (mod 16), 2 quartic residue, a = 1",
           "(q,2,(q-1)/8;(q+1-2x)/32,(q-3+2x)/32)",
-          lambda q, p, m: q % 16 == 1 and _a_value(q, p, m) == 1, _needs_2qr,
+          lambda q, p, m: q % 16 == 1 and _a_value(q, p, m) == 1 and two_is_quartic_residue(q, p),
           _union(U("D", "external", 8, ((0,), (4,)),
                    lambda f: ((f.q + 1 - 2 * f.x) // 32, (f.q - 3 + 2 * f.x) // 32)))),
         R("R22", "external family {C0^8, C1^8, C4^8, C5^8}", "RelativeEPDF",
           "q = 1 (mod 16), 2 not a quartic residue, a = -3",
           "(q,4,(q-1)/8;(3q-3+8y)/16,(3q-3-8y)/16), EDF (3q-3)/16 when y = 0",
-          lambda q, p, m: q % 16 == 1 and _a_value(q, p, m) == -3, _needs_2nqr,
+          lambda q, p, m: q % 16 == 1 and _a_value(q, p, m) == -3 and not two_is_quartic_residue(q, p),
           _union(U("D", "external", 8, ((0,), (1,), (4,), (5,)),
                    lambda f: ((3 * f.q - 3 + 8 * f.y) // 16, (3 * f.q - 3 - 8 * f.y) // 16)))),
         R("R23", "external family {C0^8, C2^8 u C6^8}", "RelativeEPDF", "q = 9 (mod 16)",
           "(q,2;(q-1)/8,(q-1)/4;(q-3+2x)/16,(q+1-2x)/16), EDF (q-1)/16 when x = 1",
-          lambda q, p, m: q % 16 == 9, _true,
+          lambda q, p, m: q % 16 == 9,
           _union(U("D", "external", 8, ((0,), (2, 6)),
                    lambda f: ((f.q - 3 + 2 * f.x) // 16, (f.q + 1 - 2 * f.x) // 16)))),
         R("R24", "pair family {i, gamma*i}, gamma in C2^4", "DPDF", "q = 5 (mod 8), q > 5",
           "DPDF (q,(q-1)/4,2;1,0) or (0,1); EPDF (q,(q-1)/4,2;(q-9)/4,(q-1)/4) or EDF (q-5)/4",
-          lambda q, p, m: q % 8 == 5 and q > 5, _true, _build_r24, suspect=True),
+          lambda q, p, m: q % 8 == 5 and q > 5, _build_r24, suspect=True),
         R("R25", "quadruple family {i, -i, gamma*i, -gamma*i}", "DPDF",
           "q = 1 (mod 8), admissible gamma in C2^4",
           "DPDF (q,(q-1)/8,4;3,0); EPDF (q,(q-1)/8,4;(q-17)/4,(q-1)/4)",
-          lambda q, p, m: q % 8 == 1, _has_r25_gamma, _build_r25),
+          lambda q, p, m: q % 8 == 1, _build_r25),
     ]
     return items
 
@@ -719,10 +703,10 @@ def iter_applicable(
     ordered by (q, registry order, plan)."""
     recipes = _REGISTRY if recipe_ids is None else [get_recipe(r) for r in recipe_ids]
     for q, p, m in prime_powers(q_min, q_max):
-        if not any(r.precheck(q, p, m) for r in recipes):
+        passed = [r for r in recipes if r.precheck(q, p, m)]
+        if not passed:
             continue
         field = build_field(p, m)
-        for recipe in recipes:
-            if recipe.applicable(field):
-                yield from apply(recipe, field, certify=q <= certify_cap)
+        for recipe in passed:
+            yield from apply(recipe, field, certify=q <= certify_cap)
 

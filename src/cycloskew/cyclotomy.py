@@ -84,24 +84,26 @@ class CycNumTable:
     reps: dict = dc_field(default_factory=dict)  # s,t,x,y,a,b actually used
 
 
-def cyclotomic_number_bruteforce(part: ClassPartition, i: int, j: int) -> int:
+def cyclotomic_number_bruteforce(field: Field, e: int, i: int, j: int) -> int:
     """(i,j)_e by direct enumeration over C_i, O(f)."""
-    e = part.e
+    _check_order(field, e)
     if not (0 <= i < e and 0 <= j < e):
         raise IndexOutOfRange(f"({i},{j}) out of range for e={e}")
-    return int(np.count_nonzero(_successor_classes(part, i) == j))
+    return int(np.count_nonzero(_successor_classes(field, e, i) == j))
 
 
-def _successor_classes(part: ClassPartition, i: int) -> np.ndarray:
-    """Classes of z + 1 over z in C_i, with z + 1 = 0 dropped."""
-    z1 = part.field.succ_codes(part.members[i])
-    return class_of(part.field, part.e, z1[z1 != 0])
+def _successor_classes(field: Field, e: int, i: int) -> np.ndarray:
+    """Classes of z + 1 over z in C_i, with z + 1 = 0 dropped.  C_i is read
+    sorted: ascending codes keep the log lookups near each other."""
+    z1 = field.succ_codes(class_union(field, e, (i,)))
+    return class_of(field, e, z1[z1 != 0])
 
 
-def bruteforce_table(part: ClassPartition) -> CycNumTable:
-    """All e x e cyclotomic numbers, one O(f) pass per class."""
-    e = part.e
-    counts = np.stack([np.bincount(_successor_classes(part, i), minlength=e) for i in range(e)])
+def bruteforce_table(field: Field, e: int) -> CycNumTable:
+    """All e x e cyclotomic numbers, one O(f) pass per class, one class
+    held at a time."""
+    _check_order(field, e)
+    counts = np.stack([np.bincount(_successor_classes(field, e, i), minlength=e) for i in range(e)])
     return CycNumTable(e, counts.astype(np.int64), "brute-force")
 
 
@@ -296,9 +298,9 @@ def cyclotomic_numbers_order8(field: Field) -> CycNumTable:
         raise NotOneMod8(f"q = {q} is not 1 mod 8")
     x, y_mag = x2_4y2_rep(q, p, m)
     a, b_mag = a2_2b2_rep(q, p, m)
-    two_qr = two_is_quartic_residue(field)
+    two_qr = two_is_quartic_residue(q, p)
     f_odd = ((q - 1) // 8) % 2 == 1
-    brute = bruteforce_table(classes(field, 8))
+    brute = bruteforce_table(field, 8)
 
     ys = [y_mag] if y_mag == 0 else [y_mag, -y_mag]
     bs = [b_mag] if b_mag == 0 else [b_mag, -b_mag]
@@ -338,13 +340,11 @@ def closed_form_table(field: Field, e: int) -> CycNumTable:
     raise OrderDoesNotDivide(f"no closed form for e = {e}")
 
 
-def delta_via_cycnums(part: ClassPartition, table: CycNumTable, j: int, l: int | None = None) -> np.ndarray:
+def delta_via_cycnums(table: CycNumTable, j: int, l: int | None = None) -> np.ndarray:
     """Predicted classwise multiplicities: entry c is the multiplicity of
     each element of C_c in Delta(C_j) (l omitted) or in
-    Delta(C_{j+l}, C_l)."""
-    e = part.e
-    if table.e != e:
-        raise IndexOutOfRange("table order does not match partition order")
+    Delta(C_{j+l}, C_l), for the classes of order table.e."""
+    e = table.e
     if not 0 <= j < e or (l is not None and not 0 <= l < e):
         raise IndexOutOfRange(f"class index out of range for e={e}")
     prof = np.zeros(e, dtype=np.int64)
@@ -357,12 +357,13 @@ def delta_via_cycnums(part: ClassPartition, table: CycNumTable, j: int, l: int |
     return prof
 
 
-def classwise_profile(part: ClassPartition, counts: np.ndarray) -> np.ndarray | None:
+def classwise_profile(field: Field, e: int, counts: np.ndarray) -> np.ndarray | None:
     """Collapse a length-q count vector to an e-vector if it is constant on
-    every class, else None."""
-    prof = np.empty(part.e, dtype=np.int64)
-    for i, mem in enumerate(part.members):
-        vals = np.unique(counts[mem])
+    every class of order e, else None."""
+    _check_order(field, e)
+    prof = np.empty(e, dtype=np.int64)
+    for i in range(e):
+        vals = np.unique(counts[class_union(field, e, (i,))])
         if len(vals) != 1:
             return None
         prof[i] = vals[0]

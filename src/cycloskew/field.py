@@ -317,8 +317,8 @@ class Field:
     def with_generator(self, code: int) -> "Field":
         """Same field, re-based on another primitive element.  The exp/log
         tables are re-derived by permutation, not rebuilt."""
-        if code == 0:
-            raise NotPrimitiveElement("0 does not generate the multiplicative group")
+        if not 1 <= code < self.q:
+            raise NotPrimitiveElement(f"code {code} is not a nonzero code below q = {self.q}")
         j = self.dlog(code)
         if gcd(j, self.q - 1) != 1:
             raise NotPrimitiveElement(f"code {code} has order {(self.q - 1) // gcd(j, self.q - 1)}")
@@ -412,7 +412,7 @@ def build_field(
     q = p**m
 
     if poly is None and m == 1 and generator is not None:
-        if not _is_primitive_root(generator, p, factorize(p - 1)):
+        if not 1 <= generator < p or not _is_primitive_root(generator, p, factorize(p - 1)):
             raise NotPrimitiveElement(f"{generator} is not a primitive root mod {p}")
         poly = ((p - generator) % p, 1)
     if poly is None:

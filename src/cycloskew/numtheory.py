@@ -140,5 +140,10 @@ def is_quartic_residue(field: Field, code: int) -> bool:
     return field.dlog(code) % 4 == 0
 
 
-def two_is_quartic_residue(field: Field) -> bool:
-    return is_quartic_residue(field, field.element(2))
+def two_is_quartic_residue(q: int, p: int) -> bool:
+    """Whether 2 is a fourth power in GF(q), q = 1 mod 4.  The fourth powers
+    are the one subgroup of index 4, whatever the generator, and 2 lies in
+    GF(p), so this is Euler's criterion computed mod p."""
+    if q % 4 != 1:
+        raise OrderDoesNotDivide(f"4 does not divide q-1 = {q - 1}")
+    return pow(2, (q - 1) // 4, p) == 1

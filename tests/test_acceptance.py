@@ -241,13 +241,13 @@ def test_criterion_4_cyclotomic_equivalence():
         for g in base.generator_codes():
             f = base.with_generator(int(g))
             closed = cyclotomic_numbers_order4(f)
-            brute = bruteforce_table(classes(f, 4))
+            brute = bruteforce_table(f, 4)
             assert np.array_equal(closed.counts, brute.counts), (q, int(g))
             n4 += 1
             if q % 8 == 1:
                 closed8 = cyclotomic_numbers_order8(f)  # raises on calibration failure
                 assert np.array_equal(
-                    closed8.counts, bruteforce_table(classes(f, 8)).counts
+                    closed8.counts, bruteforce_table(f, 8).counts
                 )
                 n8 += 1
     # difference profile prediction identity for e in {2, 4, 8}, q <= 1000
@@ -259,10 +259,10 @@ def test_criterion_4_cyclotomic_equivalence():
             if (q - 1) % e:
                 continue
             part = classes(f, e)
-            table = bruteforce_table(part)
+            table = bruteforce_table(f, e)
             for j in range(e):
-                predicted = delta_via_cycnums(part, table, j)
-                actual = classwise_profile(part, internal_differences(f, part.members[j]))
+                predicted = delta_via_cycnums(table, j)
+                actual = classwise_profile(f, e, internal_differences(f, part.members[j]))
                 assert actual is not None and np.array_equal(predicted, actual)
     dt = time.time() - t0
     assert dt < 300
@@ -370,21 +370,20 @@ def test_criterion_6b_quartic_union_never_pds_mod8():
             continue
         n_fields += 1
         f = build_field(p, m)
-        part = classes(f, 4)
         d = class_union(f, 4, (0, 3))
         exception = p % 4 == 3 and m % 2 == 0
         # closed form: Delta(D) = Delta(C_0) + Delta(C_3) + Delta(C_0, C_3) + Delta(C_3, C_0)
         table = cyclotomic_numbers_order4(f)
         predicted = (
-            delta_via_cycnums(part, table, 0)
-            + delta_via_cycnums(part, table, 3)
-            + delta_via_cycnums(part, table, 1, 3)
-            + delta_via_cycnums(part, table, 3, 0)
+            delta_via_cycnums(table, 0)
+            + delta_via_cycnums(table, 3)
+            + delta_via_cycnums(table, 1, 3)
+            + delta_via_cycnums(table, 3, 0)
         )
         assert exception == (two_squares_rep(f).t == 0), q
         assert exception == (len(np.unique(predicted)) == 2), (q, predicted)
         assert np.array_equal(
-            classwise_profile(part, internal_differences(f, d)), predicted
+            classwise_profile(f, 4, internal_differences(f, d)), predicted
         ), q
         pds = check_pds(f, d)
         skew = check_skew_pds(f, d)

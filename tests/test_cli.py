@@ -218,6 +218,13 @@ def test_scan_mismatch_leaves_no_catalog(tmp_path, capsys, monkeypatch):
         (["verify", "--p", "13", "--sets", "@{tmp}/missing.json", "--mode", "pds"], "ParseError"),
         (["verify", "--p", "13", "--gen", "2", "--sets", "[[1,2],[3,6],[9,5]]", "--mode", "internal",
           "--reference", ""], "ParseError"),
+        # generator codes outside [1, q): numpy would wrap a negative code or index past q
+        (["verify", "--p", "3", "--m", "2", "--gen", "9", "--sets", "[[1]]", "--mode", "pds"],
+         "NotPrimitiveElement"),
+        (["verify", "--p", "3", "--m", "2", "--gen", "-1", "--sets", "[[1]]", "--mode", "pds"],
+         "NotPrimitiveElement"),
+        (["verify", "--p", "13", "--gen", "15", "--sets", "[[1]]", "--mode", "pds"], "NotPrimitiveElement"),
+        (["verify", "--p", "13", "--gen", "-11", "--sets", "[[1]]", "--mode", "pds"], "NotPrimitiveElement"),
     ],
 )
 def test_bad_input_is_a_typed_error(tmp_path, capsys, argv, error):

@@ -206,14 +206,14 @@ def test_admissible_gammas_match_loops():
 
 
 def test_recipes_build_no_partition(monkeypatch):
-    # recipes read class unions off the exp table; the only partitions left
-    # are the order-8 calibrations of field_facts, one per field with
+    # recipes and the order-8 calibration read one class union at a time
+    # off the exp table, and R25 searches its gammas once per field with
     # q = 1 (mod 8)
     import cycloskew.constructions as cons
     from cycloskew.cyclotomy import ClassPartition
 
-    made, built = [], []
-    init, build = ClassPartition.__init__, cons.build_field
+    made, built, searched = [], [], []
+    init, build, gammas = ClassPartition.__init__, cons.build_field, cons.r25_admissible_gammas
 
     def counting_init(self, *args):
         made.append(args[1])
@@ -223,10 +223,16 @@ def test_recipes_build_no_partition(monkeypatch):
         built.append(p**m)
         return build(p, m)
 
+    def recording_gammas(field):
+        searched.append(field.q)
+        return gammas(field)
+
     monkeypatch.setattr(ClassPartition, "__init__", counting_init)
     monkeypatch.setattr(cons, "build_field", recording_build)
+    monkeypatch.setattr(cons, "r25_admissible_gammas", recording_gammas)
     assert sum(1 for _ in iter_applicable(2, 2500, certify_cap=0)) > 0
-    assert len(made) <= sum(q % 8 == 1 for q in built) and set(made) <= {8}
+    assert made == []
+    assert searched == [q for q in built if q % 8 == 1]
 
 
 def test_swap_combinator(gf13, gf361):
@@ -328,6 +334,8 @@ def test_skew_from_families_gf25(gf25):
 def test_not_applicable(gf9):
     with pytest.raises(NotApplicable):
         apply(get_recipe("R1"), gf9)
+    # R25 applies at every q = 1 (mod 8); GF(9) has no admissible gamma
+    assert apply(get_recipe("R25"), build_field(3, 2)) == []
 
 
 def test_prediction_mismatch_surfaces(gf13):
@@ -339,7 +347,6 @@ def test_prediction_mismatch_surfaces(gf13):
         conditions=good.conditions,
         formulas="",
         precheck=good.precheck,
-        extra=good.extra,
         build=lambda f, facts: [
             Plan("D", "skew", p.family, p.reference, p.kind, {**p.params, "lambda": 99})
             for p in good.build(f, facts)

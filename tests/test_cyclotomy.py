@@ -47,6 +47,14 @@ def test_classes_errors(gf13):
             classes(gf13, e)
         with pytest.raises(OrderDoesNotDivide):
             class_union(gf13, e, (0,))
+        # the cyclotomic numbers take (field, e) and check the order themselves
+        for call in (
+            lambda: bruteforce_table(gf13, e),
+            lambda: cyclotomic_number_bruteforce(gf13, e, 0, 0),
+            lambda: classwise_profile(gf13, e, np.zeros(13, dtype=np.int64)),
+        ):
+            with pytest.raises(OrderDoesNotDivide):
+                call()
     for idx in ((4,), (-1,), (0, 4)):
         with pytest.raises(IndexOutOfRange):
             class_union(gf13, 4, idx)
@@ -85,12 +93,11 @@ def test_class_union_matches_partition_and_log_mask(gf13_7, gf25):
 
 def test_bruteforce_entries_gf13(gf13):
     p4 = classes(gf13, 4)
-    assert cyclotomic_number_bruteforce(p4, 0, 0) == 0 == count_pairs(gf13, p4, 0, 0)
-    assert cyclotomic_number_bruteforce(p4, 0, 2) == 2 == count_pairs(gf13, p4, 0, 2)
+    assert cyclotomic_number_bruteforce(gf13, 4, 0, 0) == 0 == count_pairs(gf13, p4, 0, 0)
+    assert cyclotomic_number_bruteforce(gf13, 4, 0, 2) == 2 == count_pairs(gf13, p4, 0, 2)
     with pytest.raises(IndexOutOfRange):
-        cyclotomic_number_bruteforce(p4, 0, 4)
-    p1 = classes(gf13, 1)
-    assert cyclotomic_number_bruteforce(p1, 0, 0) == gf13.q - 2
+        cyclotomic_number_bruteforce(gf13, 4, 0, 4)
+    assert cyclotomic_number_bruteforce(gf13, 1, 0, 0) == gf13.q - 2
 
 
 def test_bruteforce_table_matches_entrywise(gf13, gf25, gf17):
@@ -98,11 +105,11 @@ def test_bruteforce_table_matches_entrywise(gf13, gf25, gf17):
     cases = [(gf13, 4), (gf25, 8)] + [(f, e) for f in (gf17, gf41_6) for e in (2, 4, 8)]
     for f, e in cases:
         part = classes(f, e)
-        table = bruteforce_table(part)
+        table = bruteforce_table(f, e)
         for i in range(e):
             for j in range(e):
                 assert table.counts[i, j] == count_pairs(f, part, i, j)
-                assert cyclotomic_number_bruteforce(part, i, j) == count_pairs(f, part, i, j)
+                assert cyclotomic_number_bruteforce(f, e, i, j) == count_pairs(f, part, i, j)
 
 
 def test_class_of_is_log_mod_e(gf25):
@@ -129,7 +136,7 @@ def test_order4_gf13_letters(gf13):
     assert table.counts[0, 2] == 2
     assert table.counts[0, 3] == 0
     assert table.counts[1, 0] == 1
-    assert np.array_equal(table.counts, bruteforce_table(classes(gf13, 4)).counts)
+    assert np.array_equal(table.counts, bruteforce_table(gf13, 4).counts)
 
 
 def test_order4_row_sums():
@@ -141,7 +148,7 @@ def test_order4_row_sums():
 
 def test_order4_gf9(gf9):
     assert np.array_equal(
-        cyclotomic_numbers_order4(gf9).counts, bruteforce_table(classes(gf9, 4)).counts
+        cyclotomic_numbers_order4(gf9).counts, bruteforce_table(gf9, 4).counts
     )
     with pytest.raises(NotOneMod4):
         cyclotomic_numbers_order4(build_field(7))
@@ -150,7 +157,7 @@ def test_order4_gf9(gf9):
 def test_order8_gf9_gf17(gf9, gf17):
     for f in (gf9, gf17):
         table = cyclotomic_numbers_order8(f)
-        assert np.array_equal(table.counts, bruteforce_table(classes(f, 8)).counts)
+        assert np.array_equal(table.counts, bruteforce_table(f, 8).counts)
         assert table.reps["y"] is not None and table.reps["b"] is not None
     with pytest.raises(NotOneMod8):
         cyclotomic_numbers_order8(build_field(13))
@@ -169,26 +176,25 @@ def test_symmetry_spot_checks():
         if q % 4 != 1:
             continue
         f = build_field(p, m)
-        t4 = bruteforce_table(classes(f, 4)).counts
+        t4 = bruteforce_table(f, 4).counts
         if ((q - 1) // 4) % 2 == 1:
             assert t4[1, 0] == t4[3, 3]
         if q % 16 == 9:
-            t8 = bruteforce_table(classes(f, 8)).counts
+            t8 = bruteforce_table(f, 8).counts
             assert t8[0, 0] == t8[4, 0] == t8[4, 4]
 
 
 def test_delta_profiles_match_lemma(gf13):
     p4 = classes(gf13, 4)
-    table = bruteforce_table(p4)
+    table = bruteforce_table(gf13, 4)
     for j in range(4):
-        predicted = delta_via_cycnums(p4, table, j)
-        actual = classwise_profile(p4, internal_differences(gf13, p4.members[j]))
+        predicted = delta_via_cycnums(table, j)
+        actual = classwise_profile(gf13, 4, internal_differences(gf13, p4.members[j]))
         assert actual is not None and np.array_equal(predicted, actual)
 
 
 def test_delta_profile_order2(gf13):
-    p2 = classes(gf13, 2)
-    predicted = delta_via_cycnums(p2, bruteforce_table(p2), 0)
+    predicted = delta_via_cycnums(bruteforce_table(gf13, 2), 0)
     assert list(predicted) == [2, 3]
 
 
@@ -196,20 +202,20 @@ def test_delta_cross_part_two(gf13):
     from cycloskew import cross_differences
 
     p4 = classes(gf13, 4)
-    table = bruteforce_table(p4)
+    table = bruteforce_table(gf13, 4)
     for j in range(4):
         for l in range(4):
-            predicted = delta_via_cycnums(p4, table, j, l)
+            predicted = delta_via_cycnums(table, j, l)
             counts = cross_differences(gf13, p4.members[(j + l) % 4], p4.members[l])
             counts[0] = 0
-            actual = classwise_profile(p4, counts)
+            actual = classwise_profile(gf13, 4, counts)
             assert actual is not None and np.array_equal(predicted, actual)
 
 
 def test_closed_form_order2(gf13, gf9):
     for f in (gf13, gf9, build_field(7), build_field(11)):
         assert np.array_equal(
-            closed_form_table(f, 2).counts, bruteforce_table(classes(f, 2)).counts
+            closed_form_table(f, 2).counts, bruteforce_table(f, 2).counts
         )
 
 
@@ -220,7 +226,7 @@ def test_row_sum_invariant_generic():
             if (q - 1) % e:
                 continue
             part = classes(f, e)
-            table = bruteforce_table(part)
+            table = bruteforce_table(f, e)
             heavy = (f.dlog(f.neg(1))) % e
             for i in range(e):
                 expect = part.f - (1 if i == heavy else 0)

@@ -158,6 +158,13 @@ def test_errors():
     with pytest.raises(NotPrimitiveElement):
         build_field(13, 1, generator=4)  # 4 has order 6 mod 13
     f = build_field(13)
+    # codes outside [1, q) are no elements, even where they reduce to a generator
+    for code in (-2, 0, 13):
+        with pytest.raises(NotPrimitiveElement):
+            f.with_generator(code)
+    for p, m, code in ((3, 2, -1), (3, 2, 9), (13, 1, -11), (13, 1, 15)):
+        with pytest.raises(NotPrimitiveElement):
+            build_field(p, m, generator=code)
     with pytest.raises(DivisionByZero):
         f.inv(0)
     with pytest.raises(ZeroHasNoLog):

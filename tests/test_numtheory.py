@@ -5,6 +5,7 @@ from cycloskew import (
     build_field,
     is_quartic_residue,
     prime_power_decompose,
+    two_is_quartic_residue,
     two_squares_rep,
     x2_4y2_rep,
 )
@@ -70,6 +71,21 @@ def test_quartic_residues(gf13, gf17, gf81):
     assert is_quartic_residue(gf17, 2) is False
     with pytest.raises(OrderDoesNotDivide):
         is_quartic_residue(build_field(7), 2)
+
+
+def test_two_is_quartic_residue_needs_no_generator():
+    # the fourth powers are the one subgroup of index 4, so the arithmetic
+    # test agrees with the discrete log under any generator
+    for q, p, m in prime_powers(5, 3000):
+        if q % 4 != 1:
+            continue
+        f = build_field(p, m)
+        other = f.with_generator(int(f.generator_codes()[1]))
+        expect = two_is_quartic_residue(q, p)
+        assert is_quartic_residue(f, 2) == expect == is_quartic_residue(other, 2), q
+    for q, p in ((7, 7), (27, 3), (11**3, 11)):
+        with pytest.raises(OrderDoesNotDivide):
+            two_is_quartic_residue(q, p)
 
 
 def test_representation_invariants():
