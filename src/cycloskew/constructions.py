@@ -627,9 +627,13 @@ def recheck(con: Construction, field: Field) -> list[str]:
 
 def apply(recipe: Recipe, field: Field, certify: bool = True) -> list[Construction]:
     """Build every plan of the recipe and certify it against the oracle."""
+    return _constructions(recipe, field, recipe.plans(field), certify)
+
+
+def _constructions(recipe: Recipe, field: Field, plans: list[Plan], certify: bool) -> list[Construction]:
     if not certify:
-        return [Construction(recipe.id, plan, field.spec, suspect=recipe.suspect) for plan in recipe.plans(field)]
-    return [_certified(recipe.id, plan, field, recipe.suspect) for plan in recipe.plans(field)]
+        return [Construction(recipe.id, plan, field.spec, suspect=recipe.suspect) for plan in plans]
+    return [_certified(recipe.id, plan, field, recipe.suspect) for plan in plans]
 
 
 # ---- generic combinators ----
@@ -707,6 +711,6 @@ def iter_applicable(
         if not passed:
             continue
         field = build_field(p, m)
-        for recipe in passed:
-            yield from apply(recipe, field, certify=q <= certify_cap)
+        for recipe in passed:  # its precheck has passed, so Recipe.plans' guard is skipped
+            yield from _constructions(recipe, field, recipe.build(field, field_facts(field)), q <= certify_cap)
 

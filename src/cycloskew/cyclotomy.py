@@ -94,9 +94,11 @@ def cyclotomic_number_bruteforce(field: Field, e: int, i: int, j: int) -> int:
 
 def _successor_classes(field: Field, e: int, i: int) -> np.ndarray:
     """Classes of z + 1 over z in C_i, with z + 1 = 0 dropped.  C_i is read
-    sorted: ascending codes keep the log lookups near each other."""
+    sorted: ascending codes keep the log lookups near each other.  The
+    successors are nonzero codes below q, so their logs are read directly,
+    without class_of's range check."""
     z1 = field.succ_codes(class_union(field, e, (i,)))
-    return class_of(field, e, z1[z1 != 0])
+    return field.log[z1[z1 != 0]] % e
 
 
 def bruteforce_table(field: Field, e: int) -> CycNumTable:
@@ -363,8 +365,8 @@ def classwise_profile(field: Field, e: int, counts: np.ndarray) -> np.ndarray | 
     _check_order(field, e)
     prof = np.empty(e, dtype=np.int64)
     for i in range(e):
-        vals = np.unique(counts[class_union(field, e, (i,))])
-        if len(vals) != 1:
+        vals = counts[class_union(field, e, (i,))]
+        if vals.min() != vals.max():  # a min/max test: np.unique would hash
             return None
         prof[i] = vals[0]
     return prof

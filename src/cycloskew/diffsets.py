@@ -2,16 +2,28 @@
 
 A difference multiset is a length-q integer count vector indexed by
 element code.  Every classifier below recomputes counts from scratch
-with one exact kernel, an FFT correlation of indicator vectors over the
-additive group (Z_p)^m rounded to integers and guarded; inputs of at
-most q pairs, and any result that fails its guard, are counted pair by
-pair.  Nothing is inferred from formulas, so a certificate is an
-independent witness.
+through one entry, diff_counts, which picks the method per set:
+
+* inputs of at most q pairs are counted pair by pair;
+* two sets that are unions of cyclotomic classes of one order s up to
+  ceil(log2 q), 0 aside, are counted by orbit: multiplication by g^s
+  fixes both, so the counts are constant on each class of order s and s
+  direct counts |X & (Y + g^c)| plus |X & Y| at 0 give all of them.
+  The guard is exact: every class the logs of a set hit mod s must be hit
+  (q - 1)/s times;
+* any other set goes to an FFT correlation of indicator vectors over the
+  additive group (Z_p)^m, rounded to integers and guarded, and a result
+  that fails its guard is counted pair by pair.
+
+Nothing is inferred from formulas, so a certificate is an independent
+witness.
 
 Every PDS and family kind is read off one two-valued profile by _split:
-lambda on a reference set, mu on the rest of G*.  certify is the one
-dispatch from a mode (pds, skew, ads, internal, external) to its check,
-and verify_certificate maps each kind to its mode.
+lambda on a reference set, mu on the rest of G*.  A profile's values are
+tested by min and max, never by np.unique, which hashes every entry and
+imports numpy.ma on its first call.  certify is the one dispatch from a
+mode (pds, skew, ads, internal, external) to its check, and
+verify_certificate maps each kind to its mode.
 
 Certificate kinds: PDS, SkewPDS, TrivialSkewPDS, ADS, DDF, EDF, DPDF,
 EPDF, RelativeDPDF, RelativeEPDF, or None on failure.  All counts are
@@ -99,18 +111,23 @@ def _fft_error_bound(q: int, nx: int, ny: int) -> float:
     return sqrt(nx * ny) * expm1(3 * n * (log1p(e) + log1p(b)) + (3 * n + 1) * log1p(e * sqrt(5)))
 
 
+def _indicator(field: Field, S: np.ndarray, dtype) -> np.ndarray:
+    """1_S on the grid of (Z_p)^m: codes put digit m-1 on axis 0, so the
+    C-order reshape to (p,)*m is that grid."""
+    ind = np.zeros(field.q, dtype=dtype)
+    ind[S] = 1
+    return ind.reshape((field.p,) * field.m)
+
+
 def _transform_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray | None:
     """Delta(X, Y) with zero hits as irfftn(rfftn(1_X) * conj(rfftn(1_Y)))
-    rounded, or None when it cannot be trusted.  Codes put digit m-1 on
-    axis 0, so the C-order reshape to (p,)*m is the grid of (Z_p)^m."""
+    rounded, or None when it cannot be trusted."""
     q, shape, axes = field.q, (field.p,) * field.m, tuple(range(field.m))
     if _fft_error_bound(q, len(X), len(Y)) >= 0.25:
         return None
 
     def spectrum(S):
-        ind = np.zeros(q)
-        ind[S] = 1.0
-        return rfftn(ind.reshape(shape), axes=axes)
+        return rfftn(_indicator(field, S, float), axes=axes)
 
     fx = spectrum(X)
     fx *= np.conj(fx if Y is X else spectrum(Y))
@@ -127,17 +144,76 @@ def _transform_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray 
     return counts
 
 
+def _orbit_order(field: Field, X: np.ndarray, Y: np.ndarray) -> int | None:
+    """The smallest divisor s of q - 1 such that the sorted sets X and Y,
+    0 dropped, are unions of classes of order s, or None when there is
+    none up to ceil(log2 q): s passes over q bytes then stay well under
+    the transform's O(q log q).  A set is such a union exactly when every
+    class its logs hit mod s is hit f = (q - 1)/s times; only an f
+    dividing both sizes can pass, so the others need no log lookup."""
+    q1 = field.q - 1
+    x, y = X[int(X[0] == 0) :], Y[int(Y[0] == 0) :]
+    logs = None
+    for s in range(1, q1.bit_length() + 1):
+        f, rem = divmod(q1, s)
+        if rem or len(x) % f or len(y) % f:
+            continue
+        if logs is None:
+            logs = [field.log[x]] if Y is X else [field.log[x], field.log[y]]
+        if all(np.count_nonzero(np.bincount(lg % s, minlength=s)) * f == len(lg) for lg in logs):
+            return s
+    return None
+
+
+def _orbit_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray | None:
+    """Delta(X, Y) with zero hits, for sorted sets that are unions of
+    classes of order s (0 aside, s from _orbit_order), or None when they
+    are not.  Multiplication by g^s fixes both sets and so the counts,
+    which are therefore constant on each class C_c: the value there is
+    |X & (Y + g^c)|, counted directly for c < s as the overlap of the mask
+    of X with the mask of Y rolled by the digits of g^c on the (p,)*m grid
+    of codes, and the value at 0 is |X & Y|."""
+    s = _orbit_order(field, X, Y)
+    if s is None:
+        return None
+    in_x = _indicator(field, X, bool)
+    in_y = in_x if Y is X else _indicator(field, Y, bool)
+    vals = np.zeros(s, dtype=np.int64)
+    for c, r in enumerate(field.exp[:s]):
+        shifted = in_y  # rolled to in_y[x - r] at x, one axis (one digit of r) at a time
+        for axis, shift in enumerate(np.unravel_index(r, in_y.shape)):
+            if shift:
+                shifted = np.roll(shifted, shift, axis=axis)
+        vals[c] = np.count_nonzero(np.logical_and(shifted, in_x, out=shifted))  # r != 0: a rolled copy
+    overlap = len(X) if Y is X else np.count_nonzero(in_x & in_y)
+    if overlap + int(vals.sum()) * (field.q - 1) // s != len(X) * len(Y):
+        return None
+    counts = np.empty(field.q, dtype=np.int64)
+    counts[0] = overlap
+    for lo in range(1, field.q, _CHUNK):  # code z takes the value of its class, log z mod s
+        # the indices are in range; mode "raise" would copy through a buffer
+        np.take(vals, field.log[lo : lo + _CHUNK] % s, out=counts[lo : lo + _CHUNK], mode="wrap")
+    return counts
+
+
 def diff_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Counts of x - y, x == y hits at 0 included, over row i of X against
     row i of Y, summed over the rows of the 2-D stacks of sorted sets X and
-    Y: one pair count for rows of at most q pairs, else a transform per row
-    and a pair count for a row whose transform is not trusted."""
+    Y: one pair count for rows of at most q pairs, else per row an orbit
+    count when both sets are class unions, a transform otherwise, and a
+    pair count for a row whose transform is not trusted."""
     if len(X) == 0 or X.shape[1] * Y.shape[1] <= field.q:
         return _pair_counts(field, X, Y)
-    counts = 0  # a zeros accumulator would add 8 bytes per code to a one-row count's peak
     for i, x in enumerate(X):
-        row = _transform_counts(field, x, x if Y is X else Y[i])
-        counts += _pair_counts(field, X[i : i + 1], Y[i : i + 1]) if row is None else row
+        y = x if Y is X else Y[i]
+        row = _orbit_counts(field, x, y)
+        if row is None:
+            row = _transform_counts(field, x, y)
+        if row is None:
+            row = _pair_counts(field, X[i : i + 1], Y[i : i + 1])
+        # the first row is the accumulator: a zeros array or a copy would
+        # add 8 bytes per code to a one-row count's peak
+        counts = row if i == 0 else np.add(counts, row, out=counts)
     return counts
 
 
@@ -316,6 +392,17 @@ def params_from_json(d: dict) -> dict:
     }
 
 
+def _levels(vals: np.ndarray) -> tuple[int, ...] | None:
+    """The distinct values of the non-empty vals, ascending, when there are
+    at most two, else None.  Read off the min and the max: every caller
+    asks only for one value or two, and np.unique would hash (and import
+    numpy.ma)."""
+    lo, hi = int(vals.min()), int(vals.max())
+    if lo == hi:
+        return (lo,)
+    return (lo, hi) if np.count_nonzero(vals == lo) + np.count_nonzero(vals == hi) == len(vals) else None
+
+
 def _split(field: Field, prof: np.ndarray, inside: np.ndarray) -> tuple[int, int] | None:
     """(lambda, mu): the single value of prof on inside minus 0, and the
     single value on the rest of G*.  A side with no elements takes the
@@ -323,11 +410,10 @@ def _split(field: Field, prof: np.ndarray, inside: np.ndarray) -> tuple[int, int
     rest = np.ones(field.q, dtype=bool)
     rest[inside] = False
     rest[0] = False
-    lam_vals, mu_vals = np.unique(prof[inside[inside != 0]]), np.unique(prof[rest])
-    if len(lam_vals) > 1 or len(mu_vals) > 1:
+    sides = [v for v in (prof[inside[inside != 0]], prof[rest]) if len(v)]
+    if any(v.min() != v.max() for v in sides):
         return None
-    lam = int(lam_vals[0] if len(lam_vals) else mu_vals[0])
-    return lam, int(mu_vals[0]) if len(mu_vals) else lam
+    return int(sides[0][0]), int(sides[-1][0])
 
 
 def set_sizes(family) -> list[int]:
@@ -417,8 +503,8 @@ def check_skew_pds(field: Field, D) -> Certificate:
     without 0 adjoined)."""
     d = as_element_set(field, D)
     prof = internal_differences(field, d)
-    vals = np.unique(prof[1:])
-    if len(vals) != 2:
+    vals = _levels(prof[1:])
+    if vals is None or len(vals) != 2:
         return Certificate("None", field.spec, (d,), None)
     for val in vals:
         supp = np.flatnonzero(prof == val)
@@ -429,10 +515,10 @@ def check_skew_pds(field: Field, D) -> Certificate:
                 continue
             if not np.array_equal(internal_differences(field, cand), prof):
                 continue
-            mu = int(vals[0] if vals[1] == val else vals[1])
+            mu = vals[0] if vals[1] == val else vals[1]
             offset = _translate_offset(field, d, cand)
             kind = "SkewPDS" if offset is None else "TrivialSkewPDS"
-            return _pds_certificate(field, kind, d, cand, int(val), mu, offset)
+            return _pds_certificate(field, kind, d, cand, val, mu, offset)
     return Certificate("None", field.spec, (d,), None)
 
 
@@ -449,12 +535,12 @@ def check_family(field: Field, family, mode: str, reference=None) -> Certificate
         raise UnknownMode(f"unknown family mode {mode!r}")
     fam, union = _validated_family(field, family)
     prof = _family_profile(field, fam, union, mode)
-    vals = np.unique(prof[1:])
-    if prof.sum() == 0 or len(vals) > 2:
+    vals = _levels(prof[1:])
+    if prof.sum() == 0 or vals is None:
         return Certificate("None", field.spec, fam, None)
     if len(vals) == 1:
         kind = "DDF" if mode == "internal" else "EDF"
-        return Certificate(kind, field.spec, fam, None, family_params(field.q, fam, int(vals[0])))
+        return Certificate(kind, field.spec, fam, None, family_params(field.q, fam, vals[0]))
 
     t = union if reference is None else _validated_family(field, [reference])[1]  # a one-set family
     lam_mu = _split(field, prof, t)
@@ -471,11 +557,9 @@ def check_ads(field: Field, D) -> Certificate:
     some t-subset and lambda + 1 elsewhere."""
     d = as_element_set(field, D)
     prof = internal_differences(field, d)
-    vals = np.unique(prof[1:])
-    if len(vals) == 1:
-        lam = int(vals[0])
-    elif len(vals) == 2 and vals[1] == vals[0] + 1:
-        lam = int(vals[0])
+    vals = _levels(prof[1:])
+    if vals is not None and (len(vals) == 1 or vals[1] == vals[0] + 1):
+        lam = vals[0]
     else:
         return Certificate("None", field.spec, (d,), None)
     t_set = np.flatnonzero(prof == lam)

@@ -1,3 +1,6 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from cycloskew import (
@@ -233,6 +236,27 @@ def test_recipes_build_no_partition(monkeypatch):
     assert sum(1 for _ in iter_applicable(2, 2500, certify_cap=0)) > 0
     assert made == []
     assert searched == [q for q in built if q % 8 == 1]
+
+
+def test_iter_applicable_runs_each_precheck_once(monkeypatch):
+    # the range filter decides applicability; the recipes that pass it are
+    # not checked again on the way to their plans
+    import cycloskew.constructions as cons
+
+    calls = Counter()
+
+    def counted(recipe):
+        def precheck(q, p, m):
+            calls[recipe.id, q] += 1
+            return recipe.precheck(q, p, m)
+
+        return dataclasses.replace(recipe, precheck=precheck)
+
+    monkeypatch.setattr(cons, "_REGISTRY", [counted(r) for r in registry()])
+    built = sum(1 for _ in iter_applicable(2, 1000, certify_cap=0))
+    assert built > 0
+    assert len(calls) == len(registry()) * sum(1 for _ in prime_powers(2, 1000))
+    assert set(calls.values()) == {1}
 
 
 def test_swap_combinator(gf13, gf361):

@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from functools import cache
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -440,6 +444,111 @@ def test_kernels_match_naive_pair_count(p, m, data):
         pool = np.setdiff1d(pool, family[-1], assume_unique=True)
     for mode, kernel in (("internal", family_internal), ("external", family_external)):
         assert np.array_equal(kernel(f, family), naive_family(f, family, mode))
+
+
+# ceil(log2 q) >= 8, so a union of classes of any order e in {1, 2, 4, 8}
+# dividing q - 1 is in the orbit count's reach.  q = 1 (mod 8) has every
+# order; in GF(3^5) a class of order 2 has an odd number of codes, so -1
+# is in no class subgroup and Delta(X, Y) differs from Delta(Y, X)
+ORBIT_FIELDS = [(257, 1), (17, 2), (5, 4), (3, 6), (3, 5), (2, 8)]
+
+
+@st.composite
+def class_union_set(draw, f):
+    """A union of classes of a drawn order e in {1, 2, 4, 8}, 0 adjoined or not."""
+    e = draw(st.sampled_from([e for e in (1, 2, 4, 8) if (f.q - 1) % e == 0]))
+    S = class_union(f, e, draw(st.sets(st.integers(0, e - 1))))
+    return np.concatenate(([0], S)) if draw(st.booleans()) else S
+
+
+def _spy_kernels(mp):
+    """Record (name, result is not None) for every orbit, transform and pair count."""
+    seen = []
+    for name in ("_orbit_counts", "_transform_counts", "_pair_counts"):
+        def spy(*args, name=name, real=getattr(diffsets, name)):
+            out = real(*args)
+            seen.append((name, out is not None))
+            return out
+
+        mp.setattr(diffsets, name, spy)
+    return seen
+
+
+@pytest.mark.parametrize("p, m", ORBIT_FIELDS)
+@given(data=st.data())
+@settings(max_examples=15)
+def test_orbit_count_matches_naive_pair_count(p, m, data):
+    # X and Y are class unions, of orders drawn apart; a nudged X has one
+    # nonzero code removed or added, so no class order fits it and its
+    # counts must go to the transform or the pair count
+    f = _diff_field(p, m)
+    X, Y = data.draw(class_union_set(f)), data.draw(class_union_set(f))
+    nudged = data.draw(st.booleans())
+    if nudged:
+        z = data.draw(st.integers(1, f.q - 1))
+        X = np.setdiff1d(X, [z]) if z in X else np.union1d(X, [z])
+    e = data.draw(st.sampled_from([e for e in (1, 2, 4, 8) if (f.q - 1) % e == 0]))
+    idx = data.draw(st.permutations(range(e)))
+    cut = data.draw(st.integers(0, e))
+    family = [class_union(f, e, idx[:cut]), class_union(f, e, idx[cut:])]
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_kernels(mp)
+        assert np.array_equal(internal_differences(f, X), naive_cross(f, X, X) * (np.arange(f.q) != 0))
+        assert np.array_equal(cross_differences(f, X, Y), naive_cross(f, X, Y))
+        assert np.array_equal(cross_differences(f, Y, X), naive_cross(f, Y, X))
+        if not nudged:
+            for mode, kernel in (("internal", family_internal), ("external", family_external)):
+                assert np.array_equal(kernel(f, family), naive_family(f, family, mode))
+    orbit = [ok for name, ok in seen if name == "_orbit_counts"]
+    if nudged:
+        assert not any(orbit)
+        assert len(seen) > len(orbit)
+    else:
+        # every row of more than q pairs was counted by orbit
+        assert all(orbit) and "_transform_counts" not in dict(seen)
+        assert orbit or len(X) * max(len(X), len(Y)) <= f.q
+
+
+@pytest.mark.parametrize("p, m", ORBIT_FIELDS)
+def test_orbit_count_of_every_class_pair(monkeypatch, p, m):
+    # Delta(C_i, C_j) for all classes of the largest order e <= 8 dividing
+    # q - 1, each by orbit: in GF(3^5) it tells x - y from y - x
+    f = _diff_field(p, m)
+    e = max(e for e in (1, 2, 4, 8) if (f.q - 1) % e == 0)
+    seen = _spy_kernels(monkeypatch)
+    for i in range(e):
+        for j in range(e):
+            X, Y = class_union(f, e, (i,)), class_union(f, e, (j,))
+            assert np.array_equal(cross_differences(f, X, Y), naive_cross(f, X, Y))
+    assert seen == [("_orbit_counts", True)] * e * e
+
+
+def test_r10_certifies_by_two_orbit_counts(monkeypatch):
+    # the skew PDS and the PDS recovered from its profile are class unions
+    seen = _spy_kernels(monkeypatch)
+    (con,) = apply(get_recipe("R10"), build_field(83, 2))
+    assert con.certificate.kind == "SkewPDS"
+    assert seen == [("_orbit_counts", True)] * 2
+
+
+def test_certifying_r10_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma (13-20 ms) on its first call; no
+    # classifier on R10's path calls it
+    code = """if True:
+        import sys, numpy, cycloskew
+        from cycloskew.constructions import apply, get_recipe
+        if "numpy.ma" in sys.modules:
+            print("preloaded")
+        else:
+            (con,) = apply(get_recipe("R10"), cycloskew.build_field(227, 2))
+            print(con.certificate.kind, "numpy.ma" in sys.modules)
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    if done.stdout.split() == ["preloaded"]:
+        pytest.skip("importing numpy and cycloskew alone loads numpy.ma")
+    assert done.stdout.split() == ["SkewPDS", "False"]
 
 
 # k^2 <= q takes the stacked pair count, k^2 > q a transform per set
