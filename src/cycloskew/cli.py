@@ -46,6 +46,7 @@ from .field import build_field
 from .numtheory import is_prime_power, prime_power_decompose, two_squares_rep
 
 MAX_TABLE_BOUND = 10**8
+MAX_CYCNUM_ORDER = 1024  # an e x e table of int64 counts
 
 
 # ---- tables ----
@@ -204,6 +205,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_cycnum(args) -> int:
+    if args.e > MAX_CYCNUM_ORDER:
+        raise BoundTooLarge(f"order e = {args.e} exceeds {MAX_CYCNUM_ORDER}")
     field = _field_from_args(args)
     tables = {}  # building a table checks that e divides q - 1
     if args.variant in ("brute-force", "compare"):

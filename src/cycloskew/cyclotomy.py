@@ -3,9 +3,10 @@
 C_i^e = g^i<g^e> is the slice exp[i::e] of the field's exp table, so a
 union of classes is sorted exp slices (class_union), and the class of a
 nonzero code is its log mod e (class_of).  Cyclotomic number tables come in two
-provenances: "brute-force" (one O(f) pass per class, counting solutions
-of z + 1 = w classwise) and "closed-form" (assembled from the quadratic
-form representations of q).  Closed forms exist for e = 2, 4, 8.
+provenances: "brute-force" (one pass over the codes z in code order,
+counting the class pairs of z and z + 1) and "closed-form" (assembled
+from the quadratic form representations of q).  Closed forms exist for
+e = 2, 4, 8.
 
 The order-8 closed form determines y and b only up to sign.  Signs are
 resolved by evaluating every candidate table and keeping the one that
@@ -85,28 +86,34 @@ class CycNumTable:
 
 
 def cyclotomic_number_bruteforce(field: Field, e: int, i: int, j: int) -> int:
-    """(i,j)_e by direct enumeration over C_i, O(f)."""
+    """(i,j)_e read off the brute-force table, O(q)."""
     _check_order(field, e)
     if not (0 <= i < e and 0 <= j < e):
         raise IndexOutOfRange(f"({i},{j}) out of range for e={e}")
-    return int(np.count_nonzero(_successor_classes(field, e, i) == j))
+    return int(bruteforce_table(field, e).counts[i, j])
 
 
-def _successor_classes(field: Field, e: int, i: int) -> np.ndarray:
-    """Classes of z + 1 over z in C_i, with z + 1 = 0 dropped.  C_i is read
-    sorted: ascending codes keep the log lookups near each other.  The
-    successors are nonzero codes below q, so their logs are read directly,
-    without class_of's range check."""
-    z1 = field.succ_codes(class_union(field, e, (i,)))
-    return field.log[z1[z1 != 0]] % e
+_BLOCK = 2**14  # codes per numpy pass over the log table
+
+
+def _blocks(field: Field, e: int):
+    """(lo, hi) bounds of consecutive blocks of the nonzero codes, _BLOCK
+    codes each or e^2 when that is larger."""
+    step = max(_BLOCK, e * e)
+    return ((lo, min(lo + step, field.q)) for lo in range(1, field.q, step))
 
 
 def bruteforce_table(field: Field, e: int) -> CycNumTable:
-    """All e x e cyclotomic numbers, one O(f) pass per class, one class
-    held at a time."""
+    """All e x e cyclotomic numbers: one bincount of the class pairs
+    (log z mod e, log(z + 1) mod e) over the nonzero codes z in code
+    order, which keeps the log lookups local; z + 1 = 0 is dropped."""
     _check_order(field, e)
-    counts = np.stack([np.bincount(_successor_classes(field, e, i), minlength=e) for i in range(e)])
-    return CycNumTable(e, counts.astype(np.int64), "brute-force")
+    counts = np.zeros(e * e, dtype=np.int64)
+    for lo, hi in _blocks(field, e):
+        z1 = field.succ_codes(np.arange(lo, hi))
+        pairs = field.log[lo:hi] % e * np.int64(e) + field.log[z1] % e
+        counts += np.bincount(pairs[z1 != 0], minlength=e * e)
+    return CycNumTable(e, counts.reshape(e, e), "brute-force")
 
 
 # ---- closed forms ----
@@ -146,11 +153,15 @@ def _order4_numerators(q: int, s: int, t: int, f_even: bool) -> dict[str, int]:
     }
 
 
-def _fill(e: int, cells: dict[str, list[tuple[int, int]]], values: dict[str, int]) -> np.ndarray:
+def _fill(e: int, cells: dict[str, list[tuple[int, int]]], nums: dict[str, int], denom: int) -> np.ndarray | None:
+    """The e x e table whose cells of each letter hold that letter's
+    numerator over denom, or None when some numerator is not a count."""
+    if any(num % denom or num < 0 for num in nums.values()):
+        return None
     counts = np.full((e, e), -1, dtype=np.int64)
     for letter, cl in cells.items():
         for i, j in cl:
-            counts[i, j] = values[letter]
+            counts[i, j] = nums[letter] // denom
     return counts
 
 
@@ -162,12 +173,9 @@ def cyclotomic_numbers_order4(field: Field) -> CycNumTable:
     s, t = two_squares_rep(field)
     f_even = ((q - 1) // 4) % 2 == 0
     nums = _order4_numerators(q, s, t, f_even)
-    values = {}
-    for letter, num in nums.items():
-        if num % 16 or num < 0:
-            raise CalibrationAmbiguous(f"order-4 entry {letter} = {num}/16 is not a count")
-        values[letter] = num // 16
-    counts = _fill(4, _CELLS4_F_EVEN if f_even else _CELLS4_F_ODD, values)
+    counts = _fill(4, _CELLS4_F_EVEN if f_even else _CELLS4_F_ODD, nums, 16)
+    if counts is None:
+        raise CalibrationAmbiguous(f"order-4 numerators {nums} over 16 are not all counts")
     return CycNumTable(4, counts, "closed-form", reps={"s": s, "t": t})
 
 
@@ -282,16 +290,6 @@ def _order8_numerators(q, x, y, a, b, two_qr: bool, f_odd: bool) -> dict[str, in
     }
 
 
-def _order8_candidate(q, x, y, a, b, two_qr: bool, f_odd: bool) -> np.ndarray | None:
-    nums = _order8_numerators(q, x, y, a, b, two_qr, f_odd)
-    values = {}
-    for letter, num in nums.items():
-        if num % 64 or num < 0:
-            return None
-        values[letter] = num // 64
-    return _fill(8, _CELLS8_F_ODD if f_odd else _CELLS8_F_EVEN, values)
-
-
 def cyclotomic_numbers_order8(field: Field) -> CycNumTable:
     """Closed-form 8x8 table with the signs of y and b calibrated against
     the brute-force table for this field and generator."""
@@ -308,7 +306,8 @@ def cyclotomic_numbers_order8(field: Field) -> CycNumTable:
     bs = [b_mag] if b_mag == 0 else [b_mag, -b_mag]
     for y in ys:
         for b in bs:
-            cand = _order8_candidate(q, x, y, a, b, two_qr, f_odd)
+            nums = _order8_numerators(q, x, y, a, b, two_qr, f_odd)
+            cand = _fill(8, _CELLS8_F_ODD if f_odd else _CELLS8_F_EVEN, nums, 64)
             if cand is not None and np.array_equal(cand, brute.counts):
                 return CycNumTable(
                     8,
@@ -349,24 +348,18 @@ def delta_via_cycnums(table: CycNumTable, j: int, l: int | None = None) -> np.nd
     e = table.e
     if not 0 <= j < e or (l is not None and not 0 <= l < e):
         raise IndexOutOfRange(f"class index out of range for e={e}")
-    prof = np.zeros(e, dtype=np.int64)
-    if l is None:
-        for i in range(e):
-            prof[(i + j) % e] = table.counts[i, 0]
-    else:
-        for i in range(e):
-            prof[(i + l) % e] = table.counts[i, j]
-    return prof
+    col, shift = (0, j) if l is None else (j, l)
+    return np.roll(table.counts[:, col], shift).astype(np.int64)
 
 
 def classwise_profile(field: Field, e: int, counts: np.ndarray) -> np.ndarray | None:
     """Collapse a length-q count vector to an e-vector if it is constant on
-    every class of order e, else None."""
+    every class of order e, else None.  Entry i is the count at g^i; each
+    block of codes is compared with these values spread by class, so no
+    class is gathered."""
     _check_order(field, e)
-    prof = np.empty(e, dtype=np.int64)
-    for i in range(e):
-        vals = counts[class_union(field, e, (i,))]
-        if vals.min() != vals.max():  # a min/max test: np.unique would hash
+    prof = np.asarray(counts[field.exp[:e]], dtype=np.int64)
+    for lo, hi in _blocks(field, e):
+        if not np.array_equal(counts[lo:hi], prof[field.log[lo:hi] % e]):
             return None
-        prof[i] = vals[0]
     return prof

@@ -147,6 +147,24 @@ def test_cycnum_bad_order(capsys):
     assert "OrderDoesNotDivide" in err
 
 
+def test_cycnum_order_too_large(capsys, monkeypatch):
+    # an e x e table for e = q - 1 would need tens of GB; the order is
+    # rejected before the field or any table is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before the order was checked")
+
+    monkeypatch.setattr(cycloskew.cli, "build_field", no_build)
+    monkeypatch.setattr(cycloskew.cli, "bruteforce_table", no_build)
+    for e in ("100002", "1025"):
+        code, out, err = run(capsys, "cycnum", "--p", "100003", "--e", e, "--brute-force")
+        assert code == 2 and out == ""
+        assert "BoundTooLarge" in err
+    monkeypatch.undo()
+    code, _, err = run(capsys, "cycnum", "--p", "13", "--e", "1024")  # at the cap: checked as usual
+    assert code == 2
+    assert "OrderDoesNotDivide" in err
+
+
 def test_scan_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.jsonl"
     out2 = tmp_path / "b.jsonl"

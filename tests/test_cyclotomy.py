@@ -16,6 +16,7 @@ from cycloskew import (
     delta_via_cycnums,
     internal_differences,
 )
+from cycloskew import cyclotomy as cyclotomy_module
 from cycloskew.constructions import prime_powers
 from cycloskew.cyclotomy import classwise_profile
 from cycloskew.errors import IndexOutOfRange, NotOneMod4, NotOneMod8, OrderDoesNotDivide
@@ -110,6 +111,44 @@ def test_bruteforce_table_matches_entrywise(gf13, gf25, gf17):
             for j in range(e):
                 assert table.counts[i, j] == count_pairs(f, part, i, j)
                 assert cyclotomic_number_bruteforce(f, e, i, j) == count_pairs(f, part, i, j)
+
+
+def _check_profiles(field, e, rng):
+    """classwise_profile gives a spread profile back, and None once the
+    count at the first or last code of a class, or at q - 1, is raised."""
+    prof = rng.integers(0, 50, size=e)
+    counts = np.append(99, prof[field.log[1:] % e])  # the count at 0 is in no class
+    got = classwise_profile(field, e, counts)
+    assert got is not None and got.dtype == np.int64 and np.array_equal(got, prof), (field.q, e)
+    members = [class_union(field, e, (i,)) for i in range(e)]
+    for code in {int(c[0]) for c in members} | {int(c[-1]) for c in members} | {field.q - 1}:
+        bumped = counts.copy()
+        bumped[code] += 1
+        assert classwise_profile(field, e, bumped) is None, (field.q, e, code)
+
+
+def test_classwise_profile_round_trip_and_none(gf17, gf25):
+    rng = np.random.default_rng(20261019)
+    for f in (gf17, gf25):
+        for e in (2, 4, 8):
+            _check_profiles(f, e, rng)
+
+
+def test_cyclotomy_in_small_blocks(monkeypatch):
+    # blocks of a few codes put the base-p carry (z = -1 mod p) and the
+    # dropped z = p - 1, whose z + 1 is 0, on block edges
+    rng = np.random.default_rng(7)
+    for block in (1, 2, 3, 5):
+        monkeypatch.setattr(cyclotomy_module, "_BLOCK", block)
+        for p, m in ((3, 3), (3, 4), (5, 3), (13, 1)):
+            f = build_field(p, m)
+            for e in (1, 2, 3, 4):
+                if (f.q - 1) % e:
+                    continue
+                part = classes(f, e)
+                want = [[count_pairs(f, part, i, j) for j in range(e)] for i in range(e)]
+                assert bruteforce_table(f, e).counts.tolist() == want, (f.q, e, block)
+                _check_profiles(f, e, rng)
 
 
 def test_class_of_is_log_mod_e(gf25):
