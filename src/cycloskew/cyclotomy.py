@@ -118,21 +118,31 @@ def bruteforce_table(field: Field, e: int) -> CycNumTable:
 
 # ---- closed forms ----
 
+def _layout(e: int, cells: dict[str, list[tuple[int, int]]]) -> tuple[list[str], np.ndarray]:
+    """A letter -> cells table as its letters and the e x e array of each
+    cell's letter index, built once so that _fill is one gather.  A cell
+    that no letter names has index -1, which _fill reads as the value -1."""
+    which = np.full((e, e), -1, dtype=np.intp)
+    for k, cl in enumerate(cells.values()):
+        which[tuple(zip(*cl))] = k
+    return list(cells), which
+
+
 # order 4: letter -> cells, per parity of f
-_CELLS4_F_EVEN = {
+_CELLS4_F_EVEN = _layout(4, {
     "A": [(0, 0)],
     "B": [(1, 0), (0, 1), (3, 3)],
     "C": [(2, 0), (0, 2), (2, 2)],
     "D": [(3, 0), (0, 3), (1, 1)],
     "E": [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)],
-}
-_CELLS4_F_ODD = {
+})
+_CELLS4_F_ODD = _layout(4, {
     "A": [(0, 0), (2, 0), (2, 2)],
     "B": [(0, 1), (1, 3), (3, 2)],
     "C": [(0, 2)],
     "D": [(0, 3), (1, 2), (3, 1)],
     "E": [(1, 0), (1, 1), (2, 1), (2, 3), (3, 0), (3, 3)],
-}
+})
 
 
 def _order4_numerators(q: int, s: int, t: int, f_even: bool) -> dict[str, int]:
@@ -153,16 +163,14 @@ def _order4_numerators(q: int, s: int, t: int, f_even: bool) -> dict[str, int]:
     }
 
 
-def _fill(e: int, cells: dict[str, list[tuple[int, int]]], nums: dict[str, int], denom: int) -> np.ndarray | None:
-    """The e x e table whose cells of each letter hold that letter's
-    numerator over denom, or None when some numerator is not a count."""
+def _fill(layout: tuple[list[str], np.ndarray], nums: dict[str, int], denom: int) -> np.ndarray | None:
+    """The table of a _layout whose cells of each letter hold that
+    letter's numerator over denom, or None when some numerator is not a
+    count: one gather of the letters' values."""
     if any(num % denom or num < 0 for num in nums.values()):
         return None
-    counts = np.full((e, e), -1, dtype=np.int64)
-    for letter, cl in cells.items():
-        for i, j in cl:
-            counts[i, j] = nums[letter] // denom
-    return counts
+    letters, which = layout
+    return np.array([nums[letter] // denom for letter in letters] + [-1], dtype=np.int64)[which]
 
 
 def cyclotomic_numbers_order4(field: Field) -> CycNumTable:
@@ -173,14 +181,14 @@ def cyclotomic_numbers_order4(field: Field) -> CycNumTable:
     s, t = two_squares_rep(field)
     f_even = ((q - 1) // 4) % 2 == 0
     nums = _order4_numerators(q, s, t, f_even)
-    counts = _fill(4, _CELLS4_F_EVEN if f_even else _CELLS4_F_ODD, nums, 16)
+    counts = _fill(_CELLS4_F_EVEN if f_even else _CELLS4_F_ODD, nums, 16)
     if counts is None:
         raise CalibrationAmbiguous(f"order-4 numerators {nums} over 16 are not all counts")
     return CycNumTable(4, counts, "closed-form", reps={"s": s, "t": t})
 
 
 # order 8: letter -> cells, per parity of f
-_CELLS8_F_ODD = {
+_CELLS8_F_ODD = _layout(8, {
     "A": [(0, 0), (4, 0), (4, 4)],
     "B": [(0, 1), (3, 7), (5, 4)],
     "C": [(0, 2), (2, 6), (6, 4)],
@@ -196,8 +204,8 @@ _CELLS8_F_ODD = {
     "M": [(1, 7), (2, 3), (3, 5), (5, 2), (6, 1), (7, 6)],
     "N": [(2, 0), (2, 2), (4, 2), (4, 6), (6, 0), (6, 6)],
     "O": [(2, 1), (3, 1), (3, 2), (5, 6), (5, 7), (6, 7)],
-}
-_CELLS8_F_EVEN = {
+})
+_CELLS8_F_EVEN = _layout(8, {
     "A": [(0, 0)],
     "B": [(0, 1), (1, 0), (7, 7)],
     "C": [(0, 2), (2, 0), (6, 6)],
@@ -213,7 +221,7 @@ _CELLS8_F_EVEN = {
     "M": [(1, 6), (6, 1), (2, 3), (3, 2), (5, 7), (7, 5)],
     "N": [(2, 4), (4, 2), (2, 6), (6, 4), (4, 6), (6, 2)],
     "O": [(2, 5), (5, 2), (3, 5), (5, 3), (3, 6), (6, 3)],
-}
+})
 
 
 def _order8_numerators(q, x, y, a, b, two_qr: bool, f_odd: bool) -> dict[str, int]:
@@ -307,7 +315,7 @@ def cyclotomic_numbers_order8(field: Field) -> CycNumTable:
     for y in ys:
         for b in bs:
             nums = _order8_numerators(q, x, y, a, b, two_qr, f_odd)
-            cand = _fill(8, _CELLS8_F_ODD if f_odd else _CELLS8_F_EVEN, nums, 64)
+            cand = _fill(_CELLS8_F_ODD if f_odd else _CELLS8_F_EVEN, nums, 64)
             if cand is not None and np.array_equal(cand, brute.counts):
                 return CycNumTable(
                     8,

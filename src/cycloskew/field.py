@@ -9,7 +9,8 @@ exactly the codes below p.
 
 Multiplication, inversion, powers and discrete logs go through the
 exp/log tables (O(1) per operation); addition works digit-wise on the
-codes.  Both tables are int32 (q <= MAX_ORDER = 2^31), 8 bytes per code.
+codes, and is XOR on arrays of codes when p = 2.  Both tables are int32
+(q <= MAX_ORDER = 2^31), 8 bytes per code.
 
 The default polynomial is the lexicographically smallest monic primitive
 one.  Its search skips every constant term whose norm (-1)^m f(0) is not
@@ -283,13 +284,17 @@ class Field:
     # ---- vectorized code arithmetic ----
 
     def sub_codes(self, a, b) -> np.ndarray:
-        return self._digitwise(operator.sub, np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        """Codes of a - b, elementwise; digit-wise mod 2 that is a XOR b."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        return a ^ b if self.p == 2 else self._digitwise(operator.sub, a, b)
 
     def add_codes(self, a, b) -> np.ndarray:
         return self.sub_codes(a, self.neg_codes(b))
 
     def neg_codes(self, a) -> np.ndarray:
-        return self._digitwise(operator.neg, np.asarray(a, dtype=np.int64))
+        """Codes of -a, elementwise: a copy of a when p = 2."""
+        a = np.asarray(a, dtype=np.int64)
+        return a.copy() if self.p == 2 else self._digitwise(operator.neg, a)
 
     def mul_codes(self, a, b) -> np.ndarray:
         """Codes of a * b, elementwise.  The int32 logs are summed in int64:

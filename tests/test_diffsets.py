@@ -663,24 +663,70 @@ def test_r24_construction_roundtrip_is_an_array(gf13):
     assert "family differs from the certificate's sets" in recheck(back, field)
 
 
-@pytest.mark.parametrize("trip", ["none", "residual", "sum", "bound"])
-def test_transform_guard_falls_back(monkeypatch, gf361, trip):
-    real_irfftn, real_pair_counts = diffsets.irfftn, diffsets._pair_counts
+# the padded length L = 1 << (2q - 2).bit_length() of a prime field runs
+# from just over 2q (509, 1021) to just under 4q (17, 257)
+TRANSFORM_FIELDS = [(3, 1), (5, 1), (7, 1), (17, 1), (257, 1), (509, 1), (1021, 1)] + [(2, m) for m in range(1, 13)]
 
-    def irfftn_off_by(delta):
+
+@pytest.mark.parametrize("p, m", TRANSFORM_FIELDS)
+@given(data=st.data())
+@settings(max_examples=15)
+def test_transform_counts_match_naive_pair_count(p, m, data):
+    # the transform alone, with no pair-count switch in front of it: sets of
+    # any size up to q (600 codes at most), Y is X and a Y sharing a drawn
+    # number of codes with X
+    f = _diff_field(p, m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X, Y = (np.sort(rng.choice(f.q, size=data.draw(st.integers(1, min(f.q, 600))), replace=False))
+            for _ in range(2))
+    shared = data.draw(st.integers(0, min(len(X), len(Y))))
+    Y = np.union1d(X[:shared], np.setdiff1d(Y, X)[: len(Y) - shared])
+    for y in (X, Y):
+        counts = diffsets._transform_counts(f, X, y)
+        assert counts is not None
+        assert counts.dtype == np.int64 and np.array_equal(counts, naive_cross(f, X, y))
+
+
+# ids without a prefix are GF(19^2), on rfftn/irfftn; "prime" is GF(367),
+# on rfft/irfft zero-padded to 1024; "walsh" is GF(2^9)
+GUARD_CASES = (
+    [pytest.param(19, 2, trip, id=trip) for trip in ("none", "residual", "sum", "bound")]
+    + [pytest.param(367, 1, trip, id=f"prime-{trip}") for trip in ("none", "residual", "sum", "bound", "middle")]
+    + [pytest.param(2, 9, trip, id=f"walsh-{trip}") for trip in ("none", "walsh")]
+)
+
+
+@pytest.mark.parametrize("p, m, trip", GUARD_CASES)
+def test_transform_guard_falls_back(monkeypatch, p, m, trip):
+    f = _diff_field(p, m)
+    inverse = "irfftn" if m > 1 else "irfft"
+    real_inverse, real_walsh, real_pair_counts = getattr(diffsets, inverse), diffsets._walsh, diffsets._pair_counts
+
+    def inverse_off_by(delta, at=7):
         def patched(*args, **kwargs):
-            out = real_irfftn(*args, **kwargs)
-            out.flat[7] += delta
+            out = real_inverse(*args, **kwargs)
+            out.flat[at] += delta
             return out
 
         return patched
 
+    def walsh_off_by_q(v):
+        # every output, the spectra's too, is q too high at code 7: the
+        # counts come out as Delta plus a vector that sums to 1
+        out = real_walsh(v)
+        out[7] += f.q
+        return out
+
     if trip == "residual":
-        monkeypatch.setattr(diffsets, "irfftn", irfftn_off_by(0.4))
+        monkeypatch.setattr(diffsets, inverse, inverse_off_by(0.4))
     elif trip == "sum":
-        monkeypatch.setattr(diffsets, "irfftn", irfftn_off_by(1.0))
+        monkeypatch.setattr(diffsets, inverse, inverse_off_by(1.0))
+    elif trip == "middle":  # lag q cannot occur, and is not folded into any count
+        monkeypatch.setattr(diffsets, inverse, inverse_off_by(1.0, at=f.q))
     elif trip == "bound":
         monkeypatch.setattr(diffsets, "_fft_error_bound", lambda q, nx, ny: 1.0)
+    elif trip == "walsh":
+        monkeypatch.setattr(diffsets, "_walsh", walsh_off_by_q)
     fallbacks = []
 
     # every set below has more than q pairs, so a pair count over more
@@ -691,13 +737,13 @@ def test_transform_guard_falls_back(monkeypatch, gf361, trip):
 
     monkeypatch.setattr(diffsets, "_pair_counts", spy)
     rng = np.random.default_rng(3)
-    D = rng.choice(np.arange(1, 361), size=120, replace=False)
+    D = rng.choice(np.arange(1, f.q), size=120, replace=False)
     family = [D[:40], D[40:80], D[80:]]
     cases = [
-        (lambda: internal_differences(gf361, D), naive_family(gf361, [D], "internal")),
-        (lambda: cross_differences(gf361, D[:60], D[30:]), naive_cross(gf361, D[:60], D[30:])),
-        (lambda: family_internal(gf361, family), naive_family(gf361, family, "internal")),
-        (lambda: family_external(gf361, family), naive_family(gf361, family, "external")),
+        (lambda: internal_differences(f, D), naive_family(f, [D], "internal")),
+        (lambda: cross_differences(f, D[:60], D[30:]), naive_cross(f, D[:60], D[30:])),
+        (lambda: family_internal(f, family), naive_family(f, family, "internal")),
+        (lambda: family_external(f, family), naive_family(f, family, "external")),
     ]
     for count, expect in cases:
         fallbacks.clear()

@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 from math import gcd
 from pathlib import Path
 
@@ -128,6 +129,21 @@ def test_vectorized_matches_scalar(gf81):
     assert gf81.sum_codes(a) == int(
         np.frompyfunc(gf81.add, 2, 1).reduce(a.astype(object))
     )
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_char2_codes_match_digitwise(m):
+    # p = 2 subtracts and negates by XOR and the identity; every pair of
+    # codes against the digit-wise arithmetic every other p uses
+    f = build_field(2, m)
+    a, b = np.meshgrid(np.arange(f.q), np.arange(f.q))
+    for got, expect in [(f.sub_codes(a, b), f._digitwise(operator.sub, a, b)),
+                        (f.add_codes(a, b), f._digitwise(operator.add, a, b)),
+                        (f.neg_codes(a), f._digitwise(operator.neg, a))]:
+        assert got.dtype == np.int64 and np.array_equal(got, expect)
+    neg = f.neg_codes(a)
+    neg[0, 0] = 1  # a copy: the caller's array is untouched
+    assert a[0, 0] == 0
 
 
 @pytest.mark.parametrize("p, m", [(13, 1), (3, 4), (2, 7)])
