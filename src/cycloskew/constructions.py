@@ -319,22 +319,12 @@ def _pair_family(field: Field, gamma: int) -> np.ndarray:
 
 
 def _build_r14(field, facts):
-    q, t = facts.q, facts.t
+    q = facts.q
     fam, squares = _pair_family(field, field.element(2)), class_union(field, 2, (0,))
     plans = _plan("internal", "internal", fam, squares, "RelativeDPDF", family_params(q, fam, 1, 0))
-    cls2 = class_of(field, 4, field.element(2))
-    if (cls2 == 1 and t == -2) or (cls2 == 3 and t == 2):
-        plans += _plan("external", "external", fam, None, "EDF", family_params(q, fam, (q - 5) // 4))
-    else:
-        plans += _plan(
-            "external",
-            "external",
-            fam,
-            squares,
-            "RelativeEPDF",
-            family_params(q, fam, (q - 9) // 4, (q - 1) // 4),
-        )
-    return plans
+    # Ext is an EDF when 2 lies in C_{-t/2}^4, which by Gauss's criterion it always does, as
+    # s = 1 (mod 4) and g^((q-1)/4) = s/t pins the sign of t: the recipe's EPDF branch is never reached
+    return plans + _plan("external", "external", fam, None, "EDF", family_params(q, fam, (q - 5) // 4))
 
 
 def r24_admissible_gammas(field: Field) -> tuple[np.ndarray, np.ndarray]:
@@ -625,15 +615,9 @@ def recheck(con: Construction, field: Field) -> list[str]:
     return problems if mismatch is None else problems + [mismatch]
 
 
-def apply(recipe: Recipe, field: Field, certify: bool = True) -> list[Construction]:
+def apply(recipe: Recipe, field: Field) -> list[Construction]:
     """Build every plan of the recipe and certify it against the oracle."""
-    return _constructions(recipe, field, recipe.plans(field), certify)
-
-
-def _constructions(recipe: Recipe, field: Field, plans: list[Plan], certify: bool) -> list[Construction]:
-    if not certify:
-        return [Construction(recipe.id, plan, field.spec, suspect=recipe.suspect) for plan in plans]
-    return [_certified(recipe.id, plan, field, recipe.suspect) for plan in plans]
+    return [_certified(recipe.id, plan, field, recipe.suspect) for plan in recipe.plans(field)]
 
 
 # ---- generic combinators ----
@@ -712,5 +696,7 @@ def iter_applicable(
             continue
         field = build_field(p, m)
         for recipe in passed:  # its precheck has passed, so Recipe.plans' guard is skipped
-            yield from _constructions(recipe, field, recipe.build(field, field_facts(field)), q <= certify_cap)
+            for plan in recipe.build(field, field_facts(field)):
+                yield (_certified(recipe.id, plan, field, recipe.suspect) if q <= certify_cap
+                       else Construction(recipe.id, plan, field.spec, suspect=recipe.suspect))
 

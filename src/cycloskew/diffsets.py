@@ -38,12 +38,11 @@ exact integers; there are no tolerances anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import partial
 from itertools import chain
 from math import expm1, isqrt, log1p, log2, sqrt
 
 import numpy as np
-from numpy.fft import irfft, irfftn, rfft, rfftn
+from numpy.fft import irfftn, rfftn
 
 from .errors import (
     ContainsZero,
@@ -149,12 +148,11 @@ def _transform_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray 
       arithmetic is exact mod 2^64 (even where a butterfly doubles a
       value), so the counts are exact for q <= 2^31 and need no a-priori
       bound;
-    * m = 1, p odd: the linear correlation irfft(rfft(1_X) *
-      conj(rfft(1_Y))) zero-padded to the power of 2 L with 2q - 1 <= L
-      < 4q, rounded; lags 0..q-1 sit at the front, lags -(q-1)..-1 at the
-      back, and are folded mod q, while the padded middle must round to 0;
-    * m >= 2, p odd: irfftn(rfftn(1_X) * conj(rfftn(1_Y))) on the (p,)*m
-      grid, rounded.
+    * p odd: irfftn(rfftn(1_X) * conj(rfftn(1_Y))) at shape s, rounded.
+      For m = 1, s = (L,) for the power of 2 L with 2q - 1 <= L < 4q, so
+      the correlation is linear: lags 0..q-1 sit at the front, lags
+      -(q-1)..-1 at the back, and are folded mod q, while the padded
+      middle must round to 0.  For m >= 2, s is the (p,)*m grid.
 
     The float paths need Percival's bound and a rounding residual below
     1/4.  Every path then needs no negative count, the count at 0 equal to
@@ -167,23 +165,20 @@ def _transform_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray 
     elif _fft_error_bound(q, len(X), len(Y)) >= 0.25:
         return None
     else:
+        shape = (1 << (2 * q - 2).bit_length(),) if m == 1 else (p,) * m  # m = 1: (L,), 2q - 1 <= L < 4q
         axes = tuple(range(m))
-        forward, inverse = partial(rfftn, axes=axes), partial(irfftn, s=(p,) * m, axes=axes)
-        if m == 1:  # zero-padded to the power of 2 L, 2q - 1 <= L < 4q
-            L = 1 << (2 * q - 2).bit_length()
-            forward, inverse = partial(rfft, n=L), partial(irfft, n=L)
-        fx = forward(_indicator(field, X, float))
-        fx *= np.conj(fx if Y is X else forward(_indicator(field, Y, float)))
-        raw = inverse(fx).ravel()
+        fx = rfftn(_indicator(field, X, float), s=shape, axes=axes)
+        fx *= np.conj(fx if Y is X else rfftn(_indicator(field, Y, float), s=shape, axes=axes))
+        raw = irfftn(fx, s=shape, axes=axes).ravel()
         del fx  # with the in-place steps, keeps the peak near 24 bytes per transform element
         rounded = np.rint(raw)
         raw -= rounded
         if np.abs(raw, out=raw).max() >= 0.25:
             return None
-        if m == 1:  # lag z - q is at L - q + z; no lag reaches the middle
-            if np.count_nonzero(rounded[q : L - q + 1]):
+        if m == 1:  # lag z - q is at index z - q, from the back; no lag reaches the middle
+            if np.count_nonzero(rounded[q : 1 - q]):
                 return None
-            rounded[1:q] += rounded[L - q + 1 :]
+            rounded[1:q] += rounded[1 - q :]
         counts = rounded[:q].astype(np.int64)
     overlap = len(X) if Y is X else len(np.intersect1d(X, Y, assume_unique=True))
     if counts.min() < 0 or counts[0] != overlap or counts.sum() != len(X) * len(Y):
@@ -526,11 +521,9 @@ def check_pds(field: Field, A) -> Certificate:
 
 
 def _translate_offset(field: Field, D: np.ndarray, A: np.ndarray) -> int | None:
-    """Offset a with D == a + A, or None.  When p does not divide |A| the
-    candidate is pinned by the field sums; otherwise every d - A[0] is
-    tried."""
-    if len(D) != len(A) or len(A) == 0:
-        return None
+    """Offset a with D == a + A, or None, for sets of one size |A| > 0.  When
+    p does not divide |A| the candidate is pinned by the field sums;
+    otherwise every d - A[0] is tried."""
     kmod = len(A) % field.p
     if kmod:
         diff = field.sub(field.sum_codes(D), field.sum_codes(A))
@@ -553,19 +546,16 @@ def check_skew_pds(field: Field, D) -> Certificate:
     vals = _levels(prof[1:])
     if vals is None or len(vals) != 2:
         return Certificate("None", field.spec, (d,), None)
-    for val in vals:
-        supp = np.flatnonzero(prof == val)
-        supp = supp[supp != 0]
-        for with_zero in (False, True):
-            cand = np.sort(np.concatenate([supp, [0]])) if with_zero else supp
-            if len(cand) != len(d):
-                continue
-            if not np.array_equal(internal_differences(field, cand), prof):
-                continue
-            mu = vals[0] if vals[1] == val else vals[1]
-            offset = _translate_offset(field, d, cand)
-            kind = "SkewPDS" if offset is None else "TrivialSkewPDS"
-            return _pds_certificate(field, kind, d, cand, val, mu, offset)
+    for lam, mu in (vals, vals[::-1]):
+        cand = np.flatnonzero(prof[1:] == lam)
+        cand += 1
+        if len(cand) + 1 == len(d):  # 0 sorts first
+            cand = np.concatenate(([0], cand))
+        if len(cand) != len(d) or not np.array_equal(internal_differences(field, cand), prof):
+            continue
+        offset = _translate_offset(field, d, cand)
+        kind = "SkewPDS" if offset is None else "TrivialSkewPDS"
+        return _pds_certificate(field, kind, d, cand, lam, mu, offset)
     return Certificate("None", field.spec, (d,), None)
 
 
@@ -605,12 +595,11 @@ def check_ads(field: Field, D) -> Certificate:
     d = as_element_set(field, D)
     prof = internal_differences(field, d)
     vals = _levels(prof[1:])
-    if vals is not None and (len(vals) == 1 or vals[1] == vals[0] + 1):
-        lam = vals[0]
-    else:
+    if vals is None or vals[-1] > vals[0] + 1:
         return Certificate("None", field.spec, (d,), None)
-    t_set = np.flatnonzero(prof == lam)
-    t_set = t_set[t_set != 0]
+    lam = vals[0]
+    t_set = np.flatnonzero(prof[1:] == lam)
+    t_set += 1
     return Certificate(
         "ADS",
         field.spec,

@@ -133,6 +133,16 @@ def test_cycnum_compare(capsys):
     assert "s=-3 t=-2" in out.replace("  ", " ")
 
 
+def test_cycnum_single_variant(capsys):
+    # one table alone prints what --compare prints before its verdict
+    code, compared, _ = run(capsys, "cycnum", "--p", "13", "--gen", "2", "--e", "4", "--compare")
+    assert code == 0 and compared.endswith("\nMATCH\n")
+    for variant in ("--closed-form", "--brute-force"):
+        code, out, _ = run(capsys, "cycnum", "--p", "13", "--gen", "2", "--e", "4", variant)
+        assert code == 0
+        assert out == compared.removesuffix("MATCH\n")
+
+
 def test_cycnum_order8_extension(capsys):
     code, out, _ = run(
         capsys, "cycnum", "--p", "3", "--m", "2", "--poly", "2,1,1", "--e", "8", "--compare"
@@ -299,6 +309,8 @@ def _edit_r1_entry(entry, edit):
         entry["reference"] = [1, 2]
     elif edit == "no-certificate":
         entry["certificate"] = None
+    elif edit.startswith("kind-"):
+        entry["certificate"]["kind"] = edit.removeprefix("kind-")
     else:  # the hand edit: family, predicted kind and predicted lambda
         entry.update(family=[[1, 2, 3]], predicted_kind="EPDF")
         entry["predicted_params"]["lambda"] = 99
@@ -314,6 +326,8 @@ def _edit_r1_entry(entry, edit):
         ("reference", ["reference set does not match prediction"]),
         ("no-certificate", ["no certificate"]),
         ("hand", ["family differs from the certificate's sets", "kind SkewPDS != predicted EPDF"]),
+        ("kind-None", ["certificate does not recompute from its sets", "certifier returned kind None"]),
+        ("kind-PDS", ["certificate does not recompute from its sets", "kind PDS is not a skew PDS"]),
     ],
 )
 def test_catalog_checks_entry_against_certificate(tmp_path, capsys, edit, reasons):

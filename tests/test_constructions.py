@@ -136,6 +136,25 @@ def test_r14_gf13(gf13, gf13_7):
     ]
 
 
+def test_r14_ext_is_always_an_edf():
+    # 2 lies in C_{-t/2}^4 for every generator (Gauss's criterion, with
+    # s = 1 mod 4 and the sign of t pinned by g^((q-1)/4) = s/t), so Ext is
+    # always an EDF: every R14 field below 300, under every generator
+    qs = []
+    for q, p, m in prime_powers(2, 300):
+        if not get_recipe("R14").precheck(q, p, m):
+            continue
+        qs.append(q)
+        f0 = build_field(p, m)
+        for g in f0.generator_codes():
+            f = f0.with_generator(int(g))
+            assert class_of(f, 4, f.element(2)) == (-field_facts(f).t // 2) % 4
+            external = by_label(apply(get_recipe("R14"), f), "external")
+            assert external.certificate.kind == "EDF"
+            assert external.certificate.params == {"v": q, "m": (q - 1) // 4, "k": 2, "lambda": (q - 5) // 4}
+    assert qs == [13, 29, 53, 125, 173, 229, 293]
+
+
 def test_r22_gf17(gf17):
     cons = apply(get_recipe("R22"), gf17)
     ext = by_label(cons, "D")

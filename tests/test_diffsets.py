@@ -248,6 +248,16 @@ def test_check_skew_examples(gf13, gf361):
     assert cert361.reference_set.tolist() == [int(c) for c in classes(gf361, 4).members[0]]
 
 
+def test_translate_offset_when_p_divides_size(gf9):
+    # |A| = 3 = p: the field sums do not pin the offset, so every d - A[0]
+    # is tried; [0, 1, 2] is the additive subgroup GF(3)
+    for D, offset in (([3, 4, 5], 3), ([0, 1, 2], 0)):
+        cert = check_skew_pds(gf9, D)
+        assert cert.kind == "TrivialSkewPDS" and cert.trivial and cert.translate_offset == offset
+        assert cert.reference_set.tolist() == [0, 1, 2]
+        assert cert.params == {"v": 9, "k": 3, "lambda": 3, "mu": 0}
+
+
 def test_check_skew_failure(gf13):
     assert check_skew_pds(gf13, [1, 2, 3]).kind == "None"
     # a DS profile (one value) is rejected as skew
@@ -351,6 +361,7 @@ def test_check_ads_examples(gf13, gf9):
     cert9 = check_ads(gf9, classes(gf9, 4).members[0])
     assert cert9.params == {"v": 9, "k": 2, "lambda": 0, "t": 6}
     assert check_ads(gf13, [1, 2, 3, 4]).kind == "None"
+    assert check_ads(gf9, [0, 1, 2, 3]).kind == "None"  # two-valued, but 1 and 3
 
 
 SQUARES_13 = [1, 3, 4, 9, 10, 12]  # C_0^2 of GF(13); C_0^4 = {1, 3, 9}, C_3^4 = {7, 8, 11}
@@ -687,8 +698,8 @@ def test_transform_counts_match_naive_pair_count(p, m, data):
         assert counts.dtype == np.int64 and np.array_equal(counts, naive_cross(f, X, y))
 
 
-# ids without a prefix are GF(19^2), on rfftn/irfftn; "prime" is GF(367),
-# on rfft/irfft zero-padded to 1024; "walsh" is GF(2^9)
+# ids without a prefix are GF(19^2), on rfftn/irfftn over the grid; "prime"
+# is GF(367), on rfftn/irfftn zero-padded to 1024; "walsh" is GF(2^9)
 GUARD_CASES = (
     [pytest.param(19, 2, trip, id=trip) for trip in ("none", "residual", "sum", "bound")]
     + [pytest.param(367, 1, trip, id=f"prime-{trip}") for trip in ("none", "residual", "sum", "bound", "middle")]
@@ -699,8 +710,8 @@ GUARD_CASES = (
 @pytest.mark.parametrize("p, m, trip", GUARD_CASES)
 def test_transform_guard_falls_back(monkeypatch, p, m, trip):
     f = _diff_field(p, m)
-    inverse = "irfftn" if m > 1 else "irfft"
-    real_inverse, real_walsh, real_pair_counts = getattr(diffsets, inverse), diffsets._walsh, diffsets._pair_counts
+    inverse = "irfftn"  # every odd field, prime or not
+    real_inverse, real_walsh, real_pair_counts = diffsets.irfftn, diffsets._walsh, diffsets._pair_counts
 
     def inverse_off_by(delta, at=7):
         def patched(*args, **kwargs):
