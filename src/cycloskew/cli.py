@@ -73,12 +73,13 @@ def table1_rows(bound: int) -> list[dict]:
 
 
 def table2_rows(bound: int) -> list[dict]:
-    """Skew Paley rows q = l^2 with l = d^2 + 2 = 3 (mod 8) a prime power."""
+    """Skew Paley rows q = l^2 with l = d^2 + 2 a prime power, d odd: then
+    d^2 = 1 (mod 8), so every such l is 3 (mod 8)."""
     rows = []
     d = 1
     while (d * d + 2) ** 2 <= bound:
         ell = d * d + 2
-        if ell % 8 == 3 and is_prime_power(ell):
+        if is_prime_power(ell):
             q = ell * ell
             rows.append(
                 {

@@ -323,7 +323,7 @@ def _build_r14(field, facts):
     fam, squares = _pair_family(field, field.element(2)), class_union(field, 2, (0,))
     plans = _plan("internal", "internal", fam, squares, "RelativeDPDF", family_params(q, fam, 1, 0))
     # Ext is an EDF when 2 lies in C_{-t/2}^4, which by Gauss's criterion it always does, as
-    # s = 1 (mod 4) and g^((q-1)/4) = s/t pins the sign of t: the recipe's EPDF branch is never reached
+    # s = 1 (mod 4) and g^((q-1)/4) = s/t pins the sign of t
     return plans + _plan("external", "external", fam, None, "EDF", family_params(q, fam, (q - 5) // 4))
 
 
@@ -442,7 +442,7 @@ def _recipes() -> list[Recipe]:
                    lambda f: ((f.q - 5) // 8, (f.q + 3) // 8) if f.t == -2 else ((f.q + 3) // 8, (f.q - 5) // 8))),
           suspect=True),
         R("R14", "pair family {i, 2i}, i in C0^4", "RelativeDPDF", "q = 5 (mod 8), q = s^2 + 4, q > 5",
-          "DPDF (q,(q-1)/4,2;1,0); EDF (q,(q-1)/4,2,(q-5)/4) or EPDF (q,(q-1)/4,2;(q-9)/4,(q-1)/4)",
+          "DPDF (q,(q-1)/4,2;1,0); EDF (q,(q-1)/4,2,(q-5)/4)",
           _pre_t2, _build_r14),
         R("R15", "family {C0^8, C2^8}", "RelativeDPDF", "q = 9 (mod 16)",
           "(q,2,(q-1)/8;(q-11-2x-4a)/32,(q-7+2x+4a)/32), DDF (q-9)/32 when x+2a = -1",

@@ -2,20 +2,23 @@
 
 C_i^e = g^i<g^e> is the slice exp[i::e] of the field's exp table, so a
 union of classes is sorted exp slices (class_union), and the class of a
-nonzero code is its log mod e (class_of).  Cyclotomic number tables come in two
-provenances: "brute-force" (one pass over the codes z in code order,
-counting the class pairs of z and z + 1) and "closed-form" (assembled
-from the quadratic form representations of q).  Closed forms exist for
-e = 2, 4, 8.
+nonzero code is its log mod e (class_of).  bruteforce_table counts the
+class pairs of z and z + 1 in one pass over the codes z in code order.
+closed_form_table assembles the table for e = 2, 4, 8 from the quadratic
+form representations of q.  Its cells fall into the orbits of two
+relations, (i,j)_e = (-i, j-i)_e and (i,j)_e = (j,i)_e when f is even or
+(j+e/2, i+e/2)_e when f is odd; lettered A, B, ... in row-major order of
+their first cell, each orbit takes one numerator.
 
 The order-8 closed form determines y and b only up to sign.  Signs are
 resolved by evaluating every candidate table and keeping the one that
 reproduces the brute-force table; CalibrationAmbiguous means no sign
-assignment works, i.e. a transcription bug, and is never expected.
+assignment works, i.e. a mistyped numerator, and is never expected.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -81,7 +84,6 @@ def classes(field: Field, e: int) -> ClassPartition:
 class CycNumTable:
     e: int
     counts: np.ndarray  # e x e matrix of (i,j)_e
-    provenance: str  # "brute-force" or "closed-form"
     reps: dict = dc_field(default_factory=dict)  # s,t,x,y,a,b actually used
 
 
@@ -113,64 +115,57 @@ def bruteforce_table(field: Field, e: int) -> CycNumTable:
         z1 = field.succ_codes(np.arange(lo, hi))
         pairs = field.log[lo:hi] % e * np.int64(e) + field.log[z1] % e
         counts += np.bincount(pairs[z1 != 0], minlength=e * e)
-    return CycNumTable(e, counts.reshape(e, e), "brute-force")
+    return CycNumTable(e, counts.reshape(e, e))
 
 
 # ---- closed forms ----
 
-def _layout(e: int, cells: dict[str, list[tuple[int, int]]]) -> tuple[list[str], np.ndarray]:
-    """A letter -> cells table as its letters and the e x e array of each
-    cell's letter index, built once so that _fill is one gather.  A cell
-    that no letter names has index -1, which _fill reads as the value -1."""
+@functools.cache
+def _layout(e: int, f_odd: bool) -> np.ndarray:
+    """The e x e array of each cell's orbit index under the two relations
+    of _fill, the orbits numbered 0, 1, ... in row-major order of their
+    first cell; computed once per (e, parity of f)."""
+    h = e // 2 if f_odd else 0
     which = np.full((e, e), -1, dtype=np.intp)
-    for k, cl in enumerate(cells.values()):
-        which[tuple(zip(*cl))] = k
-    return list(cells), which
+    for cell in np.ndindex(e, e):
+        todo, k = [cell], which.max() + 1
+        while todo:
+            i, j = todo.pop()
+            if which[i, j] < 0:
+                which[i, j] = k
+                todo += [(-i % e, (j - i) % e), ((j + h) % e, (i + h) % e)]
+    return which
 
 
-# order 4: letter -> cells, per parity of f
-_CELLS4_F_EVEN = _layout(4, {
-    "A": [(0, 0)],
-    "B": [(1, 0), (0, 1), (3, 3)],
-    "C": [(2, 0), (0, 2), (2, 2)],
-    "D": [(3, 0), (0, 3), (1, 1)],
-    "E": [(1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)],
-})
-_CELLS4_F_ODD = _layout(4, {
-    "A": [(0, 0), (2, 0), (2, 2)],
-    "B": [(0, 1), (1, 3), (3, 2)],
-    "C": [(0, 2)],
-    "D": [(0, 3), (1, 2), (3, 1)],
-    "E": [(1, 0), (1, 1), (2, 1), (2, 3), (3, 0), (3, 3)],
-})
-
-
-def _order4_numerators(q: int, s: int, t: int, f_even: bool) -> dict[str, int]:
-    if f_even:
-        return {
-            "A": q - 11 - 6 * s,
-            "B": q - 3 + 2 * s + 4 * t,
-            "C": q - 3 + 2 * s,
-            "D": q - 3 + 2 * s - 4 * t,
-            "E": q + 1 - 2 * s,
-        }
-    return {
-        "A": q - 7 + 2 * s,
-        "B": q + 1 + 2 * s - 4 * t,
-        "C": q + 1 - 6 * s,
-        "D": q + 1 + 2 * s + 4 * t,
-        "E": q - 3 - 2 * s,
-    }
-
-
-def _fill(layout: tuple[list[str], np.ndarray], nums: dict[str, int], denom: int) -> np.ndarray | None:
-    """The table of a _layout whose cells of each letter hold that
-    letter's numerator over denom, or None when some numerator is not a
-    count: one gather of the letters' values."""
+def _fill(e: int, f_odd: bool, nums: dict[str, int], denom: int) -> np.ndarray | None:
+    """The e x e table of (i,j)_e from one numerator over denom per orbit
+    of the relations (i,j)_e = (-i, j-i)_e and (i,j)_e = (j,i)_e when f is
+    even or (j+e/2, i+e/2)_e when f is odd.  The orbits are lettered A, B,
+    ... in row-major order of their first cell, and every cell of orbit L
+    holds nums[L] // denom.  None when some numerator is not a count;
+    otherwise one gather of the letters' values."""
     if any(num % denom or num < 0 for num in nums.values()):
         return None
-    letters, which = layout
-    return np.array([nums[letter] // denom for letter in letters] + [-1], dtype=np.int64)[which]
+    values = np.array([nums[letter] // denom for letter in sorted(nums)], dtype=np.int64)
+    return values[_layout(e, f_odd)]
+
+
+def _order4_numerators(q: int, s: int, t: int, f_odd: bool) -> dict[str, int]:
+    if f_odd:
+        return {
+            "A": q - 7 + 2 * s,
+            "B": q + 1 + 2 * s - 4 * t,
+            "C": q + 1 - 6 * s,
+            "D": q + 1 + 2 * s + 4 * t,
+            "E": q - 3 - 2 * s,
+        }
+    return {
+        "A": q - 11 - 6 * s,
+        "B": q - 3 + 2 * s + 4 * t,
+        "C": q - 3 + 2 * s,
+        "D": q - 3 + 2 * s - 4 * t,
+        "E": q + 1 - 2 * s,
+    }
 
 
 def cyclotomic_numbers_order4(field: Field) -> CycNumTable:
@@ -179,49 +174,12 @@ def cyclotomic_numbers_order4(field: Field) -> CycNumTable:
     if q % 4 != 1:
         raise NotOneMod4(f"q = {q} is not 1 mod 4")
     s, t = two_squares_rep(field)
-    f_even = ((q - 1) // 4) % 2 == 0
-    nums = _order4_numerators(q, s, t, f_even)
-    counts = _fill(_CELLS4_F_EVEN if f_even else _CELLS4_F_ODD, nums, 16)
+    f_odd = ((q - 1) // 4) % 2 == 1
+    nums = _order4_numerators(q, s, t, f_odd)
+    counts = _fill(4, f_odd, nums, 16)
     if counts is None:
         raise CalibrationAmbiguous(f"order-4 numerators {nums} over 16 are not all counts")
-    return CycNumTable(4, counts, "closed-form", reps={"s": s, "t": t})
-
-
-# order 8: letter -> cells, per parity of f
-_CELLS8_F_ODD = _layout(8, {
-    "A": [(0, 0), (4, 0), (4, 4)],
-    "B": [(0, 1), (3, 7), (5, 4)],
-    "C": [(0, 2), (2, 6), (6, 4)],
-    "D": [(0, 3), (1, 5), (7, 4)],
-    "E": [(0, 4)],
-    "F": [(0, 5), (1, 4), (7, 3)],
-    "G": [(0, 6), (2, 4), (6, 2)],
-    "H": [(0, 7), (3, 4), (5, 1)],
-    "I": [(1, 0), (3, 3), (4, 1), (4, 5), (5, 0), (7, 7)],
-    "J": [(1, 1), (3, 0), (4, 3), (4, 7), (5, 5), (7, 0)],
-    "K": [(1, 2), (2, 7), (3, 6), (5, 3), (6, 5), (7, 1)],
-    "L": [(1, 3), (1, 6), (2, 5), (6, 3), (7, 2), (7, 5)],
-    "M": [(1, 7), (2, 3), (3, 5), (5, 2), (6, 1), (7, 6)],
-    "N": [(2, 0), (2, 2), (4, 2), (4, 6), (6, 0), (6, 6)],
-    "O": [(2, 1), (3, 1), (3, 2), (5, 6), (5, 7), (6, 7)],
-})
-_CELLS8_F_EVEN = _layout(8, {
-    "A": [(0, 0)],
-    "B": [(0, 1), (1, 0), (7, 7)],
-    "C": [(0, 2), (2, 0), (6, 6)],
-    "D": [(0, 3), (3, 0), (5, 5)],
-    "E": [(0, 4), (4, 0), (4, 4)],
-    "F": [(0, 5), (5, 0), (3, 3)],
-    "G": [(0, 6), (6, 0), (2, 2)],
-    "H": [(0, 7), (7, 0), (1, 1)],
-    "I": [(1, 2), (2, 1), (1, 7), (7, 1), (6, 7), (7, 6)],
-    "J": [(1, 3), (3, 1), (2, 7), (7, 2), (5, 6), (6, 5)],
-    "K": [(1, 4), (4, 1), (3, 7), (7, 3), (4, 5), (5, 4)],
-    "L": [(1, 5), (5, 1), (3, 4), (4, 3), (4, 7), (7, 4)],
-    "M": [(1, 6), (6, 1), (2, 3), (3, 2), (5, 7), (7, 5)],
-    "N": [(2, 4), (4, 2), (2, 6), (6, 4), (4, 6), (6, 2)],
-    "O": [(2, 5), (5, 2), (3, 5), (5, 3), (3, 6), (6, 3)],
-})
+    return CycNumTable(4, counts, reps={"s": s, "t": t})
 
 
 def _order8_numerators(q, x, y, a, b, two_qr: bool, f_odd: bool) -> dict[str, int]:
@@ -315,33 +273,22 @@ def cyclotomic_numbers_order8(field: Field) -> CycNumTable:
     for y in ys:
         for b in bs:
             nums = _order8_numerators(q, x, y, a, b, two_qr, f_odd)
-            cand = _fill(_CELLS8_F_ODD if f_odd else _CELLS8_F_EVEN, nums, 64)
+            cand = _fill(8, f_odd, nums, 64)
             if cand is not None and np.array_equal(cand, brute.counts):
-                return CycNumTable(
-                    8,
-                    cand,
-                    "closed-form",
-                    reps={"x": x, "y": y, "a": a, "b": b},
-                )
+                return CycNumTable(8, cand, reps={"x": x, "y": y, "a": a, "b": b})
     raise CalibrationAmbiguous(
         f"no sign assignment of (y, b) = (+-{y_mag}, +-{b_mag}) reproduces the "
         f"brute-force order-8 table for q = {q}"
     )
 
 
-def _order2_table(field: Field) -> CycNumTable:
-    q = field.q
-    if q % 4 == 1:
-        counts = np.array([[(q - 5) // 4, (q - 1) // 4], [(q - 1) // 4, (q - 1) // 4]])
-    else:
-        counts = np.array([[(q - 3) // 4, (q + 1) // 4], [(q - 3) // 4, (q - 3) // 4]])
-    return CycNumTable(2, counts.astype(np.int64), "closed-form")
-
-
 def closed_form_table(field: Field, e: int) -> CycNumTable:
     _check_order(field, e)
     if e == 2:
-        return _order2_table(field)
+        q = field.q
+        f_odd = q % 4 == 3
+        nums = {"A": q - 3, "B": q + 1} if f_odd else {"A": q - 5, "B": q - 1}
+        return CycNumTable(2, _fill(2, f_odd, nums, 4))
     if e == 4:
         return cyclotomic_numbers_order4(field)
     if e == 8:

@@ -584,8 +584,10 @@ def check_family(field: Field, family, mode: str, reference=None) -> Certificate
     if lam_mu is None:
         return Certificate("None", field.spec, fam, None)
     kind = ("Relative" if reference is not None else "") + ("DPDF" if mode == "internal" else "EPDF")
-    comp = None if reference is None else np.setdiff1d(field.nonzero_codes(), union, assume_unique=True)
-    trivial = reference is not None and (np.array_equal(t, union) or np.array_equal(t, comp))
+    # t is G* minus the union exactly when the two fill G* and share no code
+    trivial = reference is not None and (np.array_equal(t, union) or (
+        len(t) + len(union) == field.q - 1
+        and np.array_equal(np.searchsorted(union, t), np.searchsorted(union, t, side="right"))))
     return Certificate(kind, field.spec, fam, t, family_params(field.q, fam, *lam_mu), trivial=trivial)
 
 

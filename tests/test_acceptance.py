@@ -298,7 +298,7 @@ def test_criterion_5_recipe_sweep():
 
 def test_recipe_outputs_pinned():
     # every plan and certificate of the criterion 5 sweep, and the registry
-    # dump, byte for byte as recorded before recipes became data
+    # dump, byte for byte
     cons = _sweep_constructions()
     catalog = "".join(json.dumps(c.to_json()) + "\n" for c in cons)
     assert hashlib.sha256(catalog.encode()).hexdigest() == (
@@ -306,7 +306,7 @@ def test_recipe_outputs_pinned():
     )
     dump = "".join(json.dumps(r.describe()) + "\n" for r in registry())
     assert hashlib.sha256(dump.encode()).hexdigest() == (
-        "7cb7413ca0b6dd2d66438f392750610854190adff7ddc082a628542b56f67c42"
+        "d6f1ddd740229b516bf2b7947d5d37018c961bb849eca709061a556a9aa2df00"
     )
 
 

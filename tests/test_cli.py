@@ -134,13 +134,15 @@ def test_cycnum_compare(capsys):
 
 
 def test_cycnum_single_variant(capsys):
-    # one table alone prints what --compare prints before its verdict
-    code, compared, _ = run(capsys, "cycnum", "--p", "13", "--gen", "2", "--e", "4", "--compare")
-    assert code == 0 and compared.endswith("\nMATCH\n")
-    for variant in ("--closed-form", "--brute-force"):
-        code, out, _ = run(capsys, "cycnum", "--p", "13", "--gen", "2", "--e", "4", variant)
-        assert code == 0
-        assert out == compared.removesuffix("MATCH\n")
+    # one table alone prints what --compare prints before its verdict;
+    # q = 11 = 3 (mod 4) takes the order-2 closed form with f odd
+    for args in (("--p", "13", "--gen", "2", "--e", "4"), ("--p", "11", "--e", "2")):
+        code, compared, _ = run(capsys, "cycnum", *args, "--compare")
+        assert code == 0 and compared.endswith("\nMATCH\n")
+        for variant in ("--closed-form", "--brute-force"):
+            code, out, _ = run(capsys, "cycnum", *args, variant)
+            assert code == 0
+            assert out == compared.removesuffix("MATCH\n")
 
 
 def test_cycnum_order8_extension(capsys):

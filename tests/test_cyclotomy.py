@@ -251,11 +251,15 @@ def test_delta_cross_part_two(gf13):
             assert actual is not None and np.array_equal(predicted, actual)
 
 
-def test_closed_form_order2(gf13, gf9):
-    for f in (gf13, gf9, build_field(7), build_field(11)):
-        assert np.array_equal(
-            closed_form_table(f, 2).counts, bruteforce_table(f, 2).counts
-        )
+def test_closed_form_order2():
+    parities = set()
+    for q, p, m in prime_powers(3, 500):
+        if p == 2:
+            continue
+        f = build_field(p, m)
+        assert np.array_equal(closed_form_table(f, 2).counts, bruteforce_table(f, 2).counts), q
+        parities.add(q % 4)  # f = (q-1)/2 is even when q = 1 (mod 4)
+    assert parities == {1, 3}
 
 
 def test_row_sum_invariant_generic():

@@ -341,11 +341,14 @@ def test_check_family_examples(gf25, gf13):
 
 
 def test_check_family_trivial_flag(gf13):
-    p2 = classes(gf13, 2)
-    fam = [[1, 3], [4, 9], [10, 12]]
-    cert = check_family(gf13, fam, "internal", reference=p2.members[0])
-    if cert.ok:
-        assert cert.trivial  # reference equals the union
+    squares, nonsquares = classes(gf13, 2).members
+    # the reference is the union, then G* minus the union
+    for reference in (squares, nonsquares):
+        cert = check_family(gf13, [squares], "internal", reference=reference)
+        assert (cert.kind, cert.trivial) == ("RelativeDPDF", True)
+    # R14's pairs {i, 2i} cover C_0^4 u C_1^4, neither the squares nor the nonsquares
+    internal = apply(get_recipe("R14"), gf13)[0].certificate
+    assert (internal.kind, internal.trivial) == ("RelativeDPDF", False)
 
 
 def test_check_family_empty_profile(gf13):
