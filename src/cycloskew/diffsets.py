@@ -12,13 +12,16 @@ through one entry, diff_counts, which picks the method per set:
   The guard is exact: every class the logs of a set hit mod s must be hit
   (q - 1)/s times;
 * any other set goes to a transform of indicator vectors over the
-  additive group (Z_p)^m, picked by (p, m) alone and guarded, and a
-  result that fails its guard is counted pair by pair.  For p = 2 it is
-  an exact int64 Walsh-Hadamard transform; for a prime field a float64
-  FFT correlation zero-padded to a power of 2, folded and rounded; for
-  any other field a float64 FFT on the (p,)*m grid, rounded.  With
-  |D| = (q - 1)/2 one Delta(D) takes about 3 ms at q = 20011 and at
-  q = 2^14 (one core).
+  additive group (Z_p)^m, picked by (p, m) alone and guarded.  Transforms
+  are linear, so the sets of one profile are transformed once each,
+  their products summed in the spectrum and inverted once; Ext's union
+  is the sum of its sets' spectra.  A sum that fails its guard is
+  counted set by set, and a set whose own transform fails it pair by
+  pair.  For p = 2 it is an exact int64 Walsh-Hadamard transform; for a
+  prime field a float64 FFT correlation zero-padded to the smallest
+  c 2^k >= 2q - 1 with c in {1, 3, 5}, folded and rounded; for any other
+  field a float64 FFT on the (p,)*m grid, rounded.  With |D| = (q - 1)/2
+  one Delta(D) takes about 2 ms at q = 20011 and at q = 2^14 (one core).
 
 Nothing is inferred from formulas, so a certificate is an independent
 witness.
@@ -104,19 +107,41 @@ def _pair_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return counts
 
 
-def _fft_error_bound(q: int, nx: int, ny: int) -> float:
-    """Max-norm error bound of the float64 FFT correlation of two 0/1
-    vectors of length q with nx and ny ones: Percival, Math. Comp. 72
-    (2003), Thm 5.1, |x| |y| ((1+e)^3n (1+e sqrt5)^(3n+1) (1+b)^3n - 1) for
-    length 2^n, e the unit roundoff, b the twiddle error.  The theorem is
-    for radix 2.  A prime field's correlation runs at a power of 2 below
-    4q, where it applies directly, and n = 3 log2(4q) over-counts that
-    length; on (Z_p)^m, m >= 2, it also over-counts pocketfft's
-    mixed-radix stages and its Bluestein passes (three inner transforms
-    below 4p per axis).  Zero padding leaves |x| and |y| unchanged."""
+def _fast_length(n: int) -> int:
+    """The smallest c * 2^k >= n with c in {1, 3, 5}: a length at which
+    pocketfft runs radix-2, -3, -4 and -5 stages only."""
+    return min(c << (-(-n // c) - 1).bit_length() for c in (1, 3, 5))
+
+
+def _fft_error_bound(q: int, norm: float, terms: int) -> float:
+    """Max-norm error bound of a float64 FFT correlation over a group of q
+    elements, inverted once from a sum of terms spectra.
+
+    One correlation of vectors x and y: Percival, Math. Comp. 72 (2003),
+    Thm 5.1, |x| |y| ((1+e)^3n (1+e sqrt5)^(3n+1) (1+b)^3n - 1) for length
+    2^n, e the unit roundoff, b the twiddle error.  The theorem is for
+    radix 2.  A prime field's correlation runs at L = c 2^k < 4q, c in
+    {1, 3, 5}: its one radix-c stage forms each output as a sum of c
+    inputs times constants of modulus at most 1, in at most c rounding
+    steps, so it errs at most as c radix-2 stages do, and k + c <= log2(4q)
+    + 3 stages are over-counted by n = 3 log2(4q).  On (Z_p)^m, m >= 2, n
+    also over-counts pocketfft's mixed-radix stages and its Bluestein
+    passes (three inner transforms below 4p per axis).  Zero padding
+    leaves |x| and |y| unchanged.
+
+    A sum: the transforms are linear, so the error of a sum of spectra is
+    at most the sum of the terms' errors, each bounded as in the theorem,
+    and the error of the inverse grows with the norm of the sum, at most
+    the sum of the norms: norm is sum |x_i| |y_i|, |D_i| for a term
+    |F(1_D_i)|^2.  Accumulating the terms rounds once per term, counted by
+    terms more factors (1+e).  Ext's spectrum |F(1_U)|^2 - sum |F_i|^2 is
+    such a sum, of norm 2|U| were F(1_U) a transform of its own; summed
+    as F(1_U) = sum F_i over the K sets (the rest of U, when transformed,
+    is one more), it errs as a transform of a vector of norm sum |x_i|
+    would, so norm is (sum |x_i|)^2 + |U|, at most (K + 1) |U|."""
     e = b = 2.0**-53
     n = 3 * log2(4 * q)
-    return sqrt(nx * ny) * expm1(3 * n * (log1p(e) + log1p(b)) + (3 * n + 1) * log1p(e * sqrt(5)))
+    return norm * expm1((3 * n + terms) * log1p(e) + 3 * n * log1p(b) + (3 * n + 1) * log1p(e * sqrt(5)))
 
 
 def _indicator(field: Field, S: np.ndarray, dtype) -> np.ndarray:
@@ -138,50 +163,124 @@ def _walsh(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _transform_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray | None:
-    """Delta(X, Y) with zero hits by transform, or None when it cannot be
-    trusted.  The algorithm depends on (p, m) alone:
+def _power(f: np.ndarray) -> np.ndarray:
+    """|f|^2 in place: an int64 (Walsh) spectrum f is squared and returned;
+    a complex one gets |f|^2 in its real part, 0 in its imaginary part,
+    and its real part is returned."""
+    if f.dtype.kind != "c":
+        return np.multiply(f, f, out=f)
+    re, im = f.real, f.imag
+    np.square(re, out=re)
+    re += np.square(im, out=im)
+    im[...] = 0
+    return re
+
+
+def _add(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
+    """total + part, summed into total; a first part is the total, not a
+    copy, which would add 8 bytes per code to a one-row count's peak."""
+    return part if total is None else np.add(total, part, out=total)
+
+
+def _summed_spectrum(field: Field, rows: list, union: np.ndarray | None, shape: tuple) -> np.ndarray:
+    """The spectrum _transform_counts inverts: the sum of F(1_x) conj(F(1_y))
+    over the rows, or with union |F(1_union)|^2 minus that sum, F(1_union)
+    being the sum of the rows' spectra and, when union holds more, the
+    spectrum of the rest.  F is the int64 Walsh transform for p = 2, else
+    rfftn at shape, and the rows are all (x, x) or all (x, y), y not x: a
+    sum of |F(1_x)|^2 is a real half-spectrum, made complex for the
+    inverse.  At most three spectra are held at once, whatever the number
+    of rows: the sum, the union's and one row's."""
+    def forward(S):
+        if field.p == 2:
+            return _walsh(_indicator(field, S, np.int64).ravel())
+        # with out, the passes over axes m-2, ..., 0 run in place
+        out = np.empty((*shape[:-1], shape[-1] // 2 + 1), dtype=complex)
+        return rfftn(_indicator(field, S, float), s=shape, axes=tuple(range(field.m)), out=out)
+
+    acc = whole = None
+    for x, y in rows:
+        fx = forward(x)
+        if union is not None:
+            whole = fx.copy() if whole is None else np.add(whole, fx, out=whole)
+        if y is x:
+            term = _power(fx)
+        else:
+            fy = forward(y)
+            term = np.multiply(fx, np.conj(fy, out=fy), out=fx)
+            del fy
+        acc = np.ascontiguousarray(term) if acc is None else np.add(acc, term, out=acc)
+        del fx, term  # before the next row's spectrum is made
+    if union is None:
+        return acc.astype(complex) if acc.dtype.kind == "f" else acc
+    if len(union) > sum(len(x) for x, _ in rows):
+        rest = np.setdiff1d(union, np.concatenate([x for x, _ in rows]), assume_unique=True) if rows else union
+        whole = _add(whole, forward(rest))
+    spec = _power(whole)
+    if acc is not None:
+        spec -= acc
+    return whole
+
+
+def _transform_counts(field: Field, rows: list, union: np.ndarray | None = None) -> np.ndarray | None:
+    """The sum of Delta(x, y), zero hits included, over the pairs (x, y) of
+    sorted sets in rows, by transform, or None when it cannot be trusted.
+    With union, a sorted set that holds the rows' sets, which are disjoint
+    with y is x: Delta(union) minus that sum.  Transforms are linear, so
+    each set is transformed once, the rows' products are summed in the
+    spectrum (see _summed_spectrum) and inverted once.  The algorithm
+    depends on (p, m) alone:
 
     * p = 2: x - y is x XOR y, so Delta = W(W(1_X) W(1_Y)) / q for the
-      Walsh-Hadamard transform W, in int64.  Every transform value is an
-      integer of size at most q min(|X|, |Y|) <= q^2 <= 2^62, and int64
-      arithmetic is exact mod 2^64 (even where a butterfly doubles a
-      value), so the counts are exact for q <= 2^31 and need no a-priori
-      bound;
-    * p odd: irfftn(rfftn(1_X) * conj(rfftn(1_Y))) at shape s, rounded.
-      For m = 1, s = (L,) for the power of 2 L with 2q - 1 <= L < 4q, so
-      the correlation is linear: lags 0..q-1 sit at the front, lags
-      -(q-1)..-1 at the back, and are folded mod q, while the padded
-      middle must round to 0.  For m >= 2, s is the (p,)*m grid.
+      Walsh-Hadamard transform W, in int64.  Every count of the sum is at
+      most q (the rows are disjoint, or one), so every inverse value is an
+      integer of size at most q^2 <= 2^62, and int64 arithmetic is exact
+      mod 2^64 (even where a butterfly doubles a value): the counts are
+      exact for q <= 2^31 and need no a-priori bound;
+    * p odd: irfftn of the summed rfftn products at shape s, rounded.  For
+      m = 1, s = (L,) for L = _fast_length(2q - 1), the smallest c 2^k >=
+      2q - 1 with c in {1, 3, 5}, so the correlation is linear: lags
+      0..q-1 sit at the front, lags -(q-1)..-1 at the back, and are folded
+      mod q, while the padded middle (empty when L = 2q - 1) must round to
+      0.  For m >= 2, s is the (p,)*m grid.
 
-    The float paths need Percival's bound and a rounding residual below
-    1/4.  Every path then needs no negative count, the count at 0 equal to
-    |X & Y| and a sum of |X| |Y|."""
+    The float paths need Percival's bound for the sum (_fft_error_bound)
+    and a rounding residual below 1/4.  Every path then needs no negative
+    count, the count at 0 and the total that the set sizes give: sum
+    |x & y| and sum |x| |y|, or with union |union| - sum |x| and |union|^2
+    - sum |x|^2."""
     q, p, m = field.q, field.p, field.m
-    if p == 2:
-        fx = _walsh(_indicator(field, X, np.int64).ravel())
-        fx *= fx if Y is X else _walsh(_indicator(field, Y, np.int64).ravel())
-        counts = _walsh(fx) // q
-    elif _fft_error_bound(q, len(X), len(Y)) >= 0.25:
-        return None
+    if union is None:
+        zero = sum(len(x) if y is x else len(np.intersect1d(x, y, assume_unique=True)) for x, y in rows)
+        total = sum(len(x) * len(y) for x, y in rows)
+        norm = sum(sqrt(len(x) * len(y)) for x, y in rows)
+        terms = len(rows)
     else:
-        shape = (1 << (2 * q - 2).bit_length(),) if m == 1 else (p,) * m  # m = 1: (L,), 2q - 1 <= L < 4q
-        axes = tuple(range(m))
-        fx = rfftn(_indicator(field, X, float), s=shape, axes=axes)
-        fx *= np.conj(fx if Y is X else rfftn(_indicator(field, Y, float), s=shape, axes=axes))
-        raw = irfftn(fx, s=shape, axes=axes).ravel()
-        del fx  # with the in-place steps, keeps the peak near 24 bytes per transform element
+        sizes = [len(x) for x, _ in rows]
+        zero = len(union) - sum(sizes)  # the rest of union, transformed when not empty
+        total = len(union) ** 2 - sum(k * k for k in sizes)
+        norm = sum(sizes) + (sum(map(sqrt, sizes)) + sqrt(zero)) ** 2
+        terms = len(rows) + (zero > 0)
+    shape = (_fast_length(2 * q - 1),) if m == 1 else (p,) * m
+    if p != 2 and _fft_error_bound(q, norm, terms) >= 0.25:
+        return None
+    spec = _summed_spectrum(field, rows, union, shape)
+    if p == 2:
+        counts = np.floor_divide(_walsh(spec), q, out=spec)
+    else:
+        raw = irfftn(spec, s=shape, axes=tuple(range(m))).ravel()
+        del spec  # with the in-place steps, keeps the peak near two spectra
         rounded = np.rint(raw)
         raw -= rounded
         if np.abs(raw, out=raw).max() >= 0.25:
             return None
+        del raw
         if m == 1:  # lag z - q is at index z - q, from the back; no lag reaches the middle
             if np.count_nonzero(rounded[q : 1 - q]):
                 return None
             rounded[1:q] += rounded[1 - q :]
         counts = rounded[:q].astype(np.int64)
-    overlap = len(X) if Y is X else len(np.intersect1d(X, Y, assume_unique=True))
-    if counts.min() < 0 or counts[0] != overlap or counts.sum() != len(X) * len(Y):
+    if counts.min() < 0 or counts[0] != zero or counts.sum() != total:
         return None
     return counts
 
@@ -238,25 +337,60 @@ def _orbit_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray | No
     return counts
 
 
-def diff_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _row_counts(field: Field, x: np.ndarray, y: np.ndarray, transform: bool) -> np.ndarray:
+    """Delta(x, y) of one row: by a transform of its own when asked and
+    trusted, else pair by pair."""
+    row = _transform_counts(field, [(x, y)]) if transform else None
+    return _pair_counts(field, x[None], y[None]) if row is None else row
+
+
+def diff_counts(field: Field, pairs: list, union: np.ndarray | None = None) -> np.ndarray:
     """Counts of x - y, x == y hits at 0 included, over row i of X against
-    row i of Y, summed over the rows of the 2-D stacks of sorted sets X and
-    Y: one pair count for rows of at most q pairs, else per row an orbit
-    count when both sets are class unions, a transform otherwise, and a
-    pair count for a row whose transform is not trusted."""
-    if len(X) == 0 or X.shape[1] * Y.shape[1] <= field.q:
-        return _pair_counts(field, X, Y)
-    for i, x in enumerate(X):
-        y = x if Y is X else Y[i]
-        row = _orbit_counts(field, x, y)
-        if row is None:
-            row = _transform_counts(field, x, y)
-        if row is None:
-            row = _pair_counts(field, X[i : i + 1], Y[i : i + 1])
-        # the first row is the accumulator: a zeros array or a copy would
-        # add 8 bytes per code to a one-row count's peak
-        counts = row if i == 0 else np.add(counts, row, out=counts)
-    return counts
+    row i of Y, summed over the rows of every pair (X, Y) of 2-D stacks of
+    sorted sets; with union, the sorted union of the rows, which are then
+    disjoint with Y is X, Delta(union) minus that sum.
+
+    One pair count for a stack of rows of at most q pairs, else per row an
+    orbit count when both sets are class unions, and the rest of the rows
+    go into one transform sum.  The union is a pair count when it has at
+    most q pairs, an orbit count when it is a class union, and otherwise
+    joins the sum, which then needs no transform of it.  When the sum is
+    not trusted, each of its terms, rows and union, is counted on its own:
+    by transform when the sum had more than one term, and pair by pair
+    when that is not trusted either."""
+    q = field.q
+    whole = counts = None
+    if union is not None:
+        u = union[None]
+        whole = _pair_counts(field, u, u) if len(union) ** 2 <= q else _orbit_counts(field, union, union)
+    rows = []
+    for X, Y in pairs:
+        if len(X) == 0 or X.shape[1] * Y.shape[1] <= q:
+            counts = _add(counts, _pair_counts(field, X, Y))
+            continue
+        for i, x in enumerate(X):
+            y = x if Y is X else Y[i]
+            row = _orbit_counts(field, x, y)
+            if row is None:
+                rows.append((x, y))
+            else:
+                counts = _add(counts, row)
+    summed_union = union if union is not None and whole is None else None
+    if rows or summed_union is not None:
+        summed = _transform_counts(field, rows, summed_union)
+        if summed is None:
+            several = len(rows) + (summed_union is not None) > 1
+            for x, y in rows:
+                counts = _add(counts, _row_counts(field, x, y, several))
+            if summed_union is not None:
+                whole = _row_counts(field, union, union, several)
+        elif summed_union is not None:
+            whole = summed  # the transformed rows are subtracted already
+        else:
+            counts = _add(counts, summed)
+    if union is None:
+        return counts
+    return whole if counts is None else np.subtract(whole, counts, out=whole)
 
 
 def internal_differences(field: Field, D) -> np.ndarray:
@@ -268,7 +402,7 @@ def internal_differences(field: Field, D) -> np.ndarray:
 def cross_differences(field: Field, D1, D2) -> np.ndarray:
     """Delta(D1, D2): counts of x - y over x in D1, y in D2.  Zero hits are
     included; callers working with disjoint sets never see any."""
-    return diff_counts(field, as_element_set(field, D1)[None], as_element_set(field, D2)[None])
+    return diff_counts(field, [(as_element_set(field, D1)[None], as_element_set(field, D2)[None])])
 
 
 def _validated_family(field: Field, family) -> tuple[np.ndarray | tuple[np.ndarray, ...], np.ndarray]:
@@ -293,20 +427,18 @@ def _validated_family(field: Field, family) -> tuple[np.ndarray | tuple[np.ndarr
 
 def _family_profile(field: Field, fam: np.ndarray | tuple[np.ndarray, ...], union: np.ndarray,
                     mode: str) -> np.ndarray:
-    """Int or Ext of a validated family, counted one stack of equal-size
-    sets at a time: a 2-D family is one stack, the empty family the empty
-    row of its union.  Ext is Delta(union) minus the sum of Delta(D_i):
-    the zero hits cancel."""
+    """Int or Ext of a validated family in one diff_counts call, over one
+    stack of equal-size sets per size: a 2-D family is one stack, the
+    empty family the empty row of its union.  Ext is Delta(union) minus
+    the sum of Delta(D_i): the zero hits cancel."""
     if isinstance(fam, np.ndarray):
         stacks = [fam]
     else:
         stacks = [np.stack([s for s in fam if len(s) == k]) for k in {*map(len, fam)}] or [union[None]]
-    counts = sum(diff_counts(field, X, X) for X in stacks)
+    counts = diff_counts(field, [(X, X) for X in stacks], union if mode == "external" else None)
     if mode == "internal":
         counts[0] = 0
-        return counts
-    u = union[None]
-    return diff_counts(field, u, u) - counts
+    return counts
 
 
 def family_internal(field: Field, family) -> np.ndarray:

@@ -677,9 +677,19 @@ def test_r24_construction_roundtrip_is_an_array(gf13):
     assert "family differs from the certificate's sets" in recheck(back, field)
 
 
-# the padded length L = 1 << (2q - 2).bit_length() of a prime field runs
-# from just over 2q (509, 1021) to just under 4q (17, 257)
-TRANSFORM_FIELDS = [(3, 1), (5, 1), (7, 1), (17, 1), (257, 1), (509, 1), (1021, 1)] + [(2, m) for m in range(1, 13)]
+# the padded length L = _fast_length(2q - 1) of a prime field is 2q - 1
+# itself, with no padded middle, at q = 3 (L = 5), a power of 2 at 7, 509
+# and 1021 (16, 1024, 2048), 3 * 2^k at 367 (768) and 5 * 2^k at 5, 17,
+# 257 and 2477 (10, 40, 640, 5120)
+TRANSFORM_FIELDS = ([(3, 1), (5, 1), (7, 1), (17, 1), (257, 1), (367, 1), (509, 1), (1021, 1), (2477, 1)]
+                    + [(2, m) for m in range(1, 13)])
+
+
+def test_fast_length_matches_brute_force():
+    lengths = sorted(c << k for c in (1, 3, 5) for k in range(15))
+    for n in range(1, 10**4):
+        assert diffsets._fast_length(n) == next(L for L in lengths if L >= n)
+    assert [diffsets._fast_length(2 * q - 1) for q in (3, 367, 2477, 20011)] == [5, 768, 5120, 40960]
 
 
 @pytest.mark.parametrize("p, m", TRANSFORM_FIELDS)
@@ -696,13 +706,13 @@ def test_transform_counts_match_naive_pair_count(p, m, data):
     shared = data.draw(st.integers(0, min(len(X), len(Y))))
     Y = np.union1d(X[:shared], np.setdiff1d(Y, X)[: len(Y) - shared])
     for y in (X, Y):
-        counts = diffsets._transform_counts(f, X, y)
+        counts = diffsets._transform_counts(f, [(X, y)])
         assert counts is not None
         assert counts.dtype == np.int64 and np.array_equal(counts, naive_cross(f, X, y))
 
 
 # ids without a prefix are GF(19^2), on rfftn/irfftn over the grid; "prime"
-# is GF(367), on rfftn/irfftn zero-padded to 1024; "walsh" is GF(2^9)
+# is GF(367), on rfftn/irfftn zero-padded to 768; "walsh" is GF(2^9)
 GUARD_CASES = (
     [pytest.param(19, 2, trip, id=trip) for trip in ("none", "residual", "sum", "bound")]
     + [pytest.param(367, 1, trip, id=f"prime-{trip}") for trip in ("none", "residual", "sum", "bound", "middle")]
@@ -715,6 +725,7 @@ def test_transform_guard_falls_back(monkeypatch, p, m, trip):
     f = _diff_field(p, m)
     inverse = "irfftn"  # every odd field, prime or not
     real_inverse, real_walsh, real_pair_counts = diffsets.irfftn, diffsets._walsh, diffsets._pair_counts
+    real_transform = diffsets._transform_counts
 
     def inverse_off_by(delta, at=7):
         def patched(*args, **kwargs):
@@ -738,10 +749,10 @@ def test_transform_guard_falls_back(monkeypatch, p, m, trip):
     elif trip == "middle":  # lag q cannot occur, and is not folded into any count
         monkeypatch.setattr(diffsets, inverse, inverse_off_by(1.0, at=f.q))
     elif trip == "bound":
-        monkeypatch.setattr(diffsets, "_fft_error_bound", lambda q, nx, ny: 1.0)
+        monkeypatch.setattr(diffsets, "_fft_error_bound", lambda q, norm, terms: 1.0)
     elif trip == "walsh":
         monkeypatch.setattr(diffsets, "_walsh", walsh_off_by_q)
-    fallbacks = []
+    fallbacks, sums = [], []
 
     # every set below has more than q pairs, so a pair count over more
     # than q pairs is a fallback
@@ -749,20 +760,67 @@ def test_transform_guard_falls_back(monkeypatch, p, m, trip):
         fallbacks.append(X.size * Y.shape[1] > field.q)
         return real_pair_counts(field, X, Y)
 
+    def transform_spy(field, rows, union=None):
+        sums.append((len(rows), union is not None))
+        return real_transform(field, rows, union)
+
     monkeypatch.setattr(diffsets, "_pair_counts", spy)
+    monkeypatch.setattr(diffsets, "_transform_counts", transform_spy)
     rng = np.random.default_rng(3)
     D = rng.choice(np.arange(1, f.q), size=120, replace=False)
-    family = [D[:40], D[40:80], D[80:]]
+    family = [D[:30], D[30:70], D[70:]]  # three sizes, three stacks, one sum
     cases = [
-        (lambda: internal_differences(f, D), naive_family(f, [D], "internal")),
-        (lambda: cross_differences(f, D[:60], D[30:]), naive_cross(f, D[:60], D[30:])),
-        (lambda: family_internal(f, family), naive_family(f, family, "internal")),
-        (lambda: family_external(f, family), naive_family(f, family, "external")),
+        (lambda: internal_differences(f, D), naive_family(f, [D], "internal"), (1, False)),
+        (lambda: cross_differences(f, D[:60], D[30:]), naive_cross(f, D[:60], D[30:]), (1, False)),
+        (lambda: family_internal(f, family), naive_family(f, family, "internal"), (3, False)),
+        (lambda: family_external(f, family), naive_family(f, family, "external"), (3, True)),
     ]
-    for count, expect in cases:
+    for count, expect, first in cases:
         fallbacks.clear()
+        sums.clear()
         assert np.array_equal(count(), expect)
         assert any(fallbacks) == (trip != "none")
+        # a tripped sum of several terms retries each term by a transform of its own
+        retries = [(1, False)] * (first[0] + first[1]) if trip != "none" and sum(first) > 1 else []
+        assert sums == [first] + retries
+
+
+# prime fields, (Z_p)^m grids and p = 2, each with room for six disjoint
+# sets of distinct sizes above the pair-count switch
+SUM_FIELDS = [(97, 1), (367, 1), (2477, 1), (11, 2), (5, 3), (3, 5), (2, 8), (2, 9)]
+
+
+@pytest.mark.parametrize("p, m", SUM_FIELDS)
+@given(data=st.data())
+@settings(max_examples=10)
+def test_family_sum_matches_naive_family(p, m, data):
+    # 0-6 disjoint sets of distinct sizes k, k^2 > q, and maybe an empty set:
+    # the rows, and Ext's union, go into one transform sum and one inverse,
+    # and the certificates are those of the naive profile
+    f = _diff_field(p, m)
+    n = data.draw(st.integers(0, 6))
+    low = isqrt(f.q) + 1
+    sizes = data.draw(st.lists(st.integers(low, min(2 * low, (f.q - 1) // 6)), min_size=n, max_size=n, unique=True))
+    codes = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(np.arange(1, f.q))
+    cuts = np.cumsum([0, *sizes])
+    family = [codes[a:b] for a, b in zip(cuts, cuts[1:])]
+    if data.draw(st.booleans()):
+        family.insert(data.draw(st.integers(0, n)), codes[:0])
+    real_transform, sums = diffsets._transform_counts, []
+
+    def transform_spy(field, rows, union=None):
+        sums.append((len(rows), union is not None))
+        return real_transform(field, rows, union)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffsets, "_transform_counts", transform_spy)
+        for mode, kernel in (("internal", family_internal), ("external", family_external)):
+            sums.clear()
+            assert np.array_equal(kernel(f, family), naive_family(f, family, mode))
+            assert sums == ([(n, mode == "external")] if n else [])
+        certs = [check_family(f, family, mode).to_json() for mode in ("internal", "external")]
+        mp.setattr(diffsets, "_family_profile", lambda field, fam, union, mode: naive_family(field, fam, mode))
+        assert certs == [check_family(f, family, mode).to_json() for mode in ("internal", "external")]
 
 
 def test_pair_count_chunks_are_bounded(monkeypatch, gf361):
