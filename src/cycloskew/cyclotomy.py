@@ -61,7 +61,9 @@ def class_union(field: Field, e: int, indices) -> np.ndarray:
     idx = sorted(set(indices))
     if not all(0 <= i < e for i in idx):
         raise IndexOutOfRange(f"class indices {idx} out of range for e={e}")
-    return np.sort(np.concatenate([field.exp[:0]] + [field.exp[i::e] for i in idx])).astype(np.int64)
+    codes = np.concatenate([field.exp[:0]] + [field.exp[i::e] for i in idx], dtype=np.int64)
+    codes.sort()
+    return codes
 
 
 def class_of(field: Field, e: int, codes):

@@ -17,11 +17,12 @@ through one entry, diff_counts, which picks the method per set:
   their products summed in the spectrum and inverted once; Ext's union
   is the sum of its sets' spectra.  A sum that fails its guard is
   counted set by set, and a set whose own transform fails it pair by
-  pair.  For p = 2 it is an exact int64 Walsh-Hadamard transform; for a
-  prime field a float64 FFT correlation zero-padded to the smallest
-  c 2^k >= 2q - 1 with c in {1, 3, 5}, folded and rounded; for any other
-  field a float64 FFT on the (p,)*m grid, rounded.  With |D| = (q - 1)/2
-  one Delta(D) takes about 2 ms at q = 20011 and at q = 2^14 (one core).
+  pair.  A prime field's is a float64 FFT correlation zero-padded to the
+  smallest c 2^k >= 2q - 1 with c in {1, 3, 5}, folded; for m >= 2 it is
+  a float64 product of each block axis (at most 32 points) with its
+  character matrix when p <= 5, and an FFT on the (p,)*m grid when
+  p >= 7; rounded.  With |D| = (q - 1)/2 one Delta(D) takes about 0.7 ms
+  at q = 20011 and 0.13 ms at q = 2^14 (one core).
 
 Nothing is inferred from formulas, so a certificate is an independent
 witness.
@@ -41,8 +42,9 @@ exact integers; there are no tolerances anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import chain
-from math import expm1, isqrt, log1p, log2, sqrt
+from math import expm1, isqrt, log, log1p, log2, sqrt
 
 import numpy as np
 from numpy.fft import irfftn, rfftn
@@ -59,6 +61,9 @@ from .errors import (
 from .field import Field, FieldSpec
 
 _CHUNK = 1 << 20  # ordered pairs per pair-count chunk
+_DENSE = 32  # most points of one block axis of the dense transform
+_SCRATCH = 1 << 13  # values per block of a dense pass or of the rounding
+_PROBED = 1 << 10  # codes in a set from which a probe costs less than a pass over its logs
 SET_MODES = ("pds", "skew", "ads")  # the certify modes that classify one set
 
 
@@ -113,35 +118,85 @@ def _fast_length(n: int) -> int:
     return min(c << (-(-n // c) - 1).bit_length() for c in (1, 3, 5))
 
 
-def _fft_error_bound(q: int, norm: float, terms: int) -> float:
-    """Max-norm error bound of a float64 FFT correlation over a group of q
-    elements, inverted once from a sum of terms spectra.
+def _error_bound(q: int, axes: tuple[int, ...] | None, norm: float, terms: int) -> float:
+    """Max-norm error bound of a float64 correlation over a group of q
+    elements, inverted once from a sum of terms spectra: by FFT when axes
+    is None, else by _dense on block axes of those sizes.
 
-    One correlation of vectors x and y: Percival, Math. Comp. 72 (2003),
-    Thm 5.1, |x| |y| ((1+e)^3n (1+e sqrt5)^(3n+1) (1+b)^3n - 1) for length
-    2^n, e the unit roundoff, b the twiddle error.  The theorem is for
-    radix 2.  A prime field's correlation runs at L = c 2^k < 4q, c in
+    FFT: Percival, Math. Comp. 72 (2003), Thm 5.1, bounds one correlation
+    of x and y by |x| |y| ((1+e)^3n (1+e sqrt5)^(3n+1) (1+b)^3n - 1) for
+    length 2^n, e the unit roundoff, b the twiddle error.  The theorem is
+    for radix 2.  A prime field's correlation runs at L = c 2^k < 4q, c in
     {1, 3, 5}: its one radix-c stage forms each output as a sum of c
     inputs times constants of modulus at most 1, in at most c rounding
     steps, so it errs at most as c radix-2 stages do, and k + c <= log2(4q)
-    + 3 stages are over-counted by n = 3 log2(4q).  On (Z_p)^m, m >= 2, n
-    also over-counts pocketfft's mixed-radix stages and its Bluestein
-    passes (three inner transforms below 4p per axis).  Zero padding
-    leaves |x| and |y| unchanged.
+    + 3 stages are over-counted by n = 3 log2(4q).  On (Z_p)^m, m >= 2 and
+    p >= 7, n also over-counts pocketfft's mixed-radix stages and its
+    Bluestein passes (three inner transforms below 4p per axis).  Zero
+    padding leaves |x| and |y| unchanged.
+
+    Dense: a pass applies the computed character matrix V of n points to
+    each fiber x.  An entry of V is one root exp(-i t), t = 2 pi r / p
+    within 15e of the exact angle, and cos and sin are within 1 ulp, so it
+    is within b = 2^-48 of W's.  By Higham, Accuracy and Stability of
+    Numerical Algorithms (2nd ed., 2002), 3.5-3.6, the complex dot products
+    err by at most sqrt2 g(n+2) |V| |x|, g(k) = ke / (1 - ke).  With
+    || |V| |x| ||_2 <= n (1+b) ||x||_2, ||(V - W) x||_2 <= nb ||x||_2 and
+    ||Wx||_2 = sqrt(n) ||x||_2, a pass errs by a relative 2-norm eta =
+    sqrt(n) (sqrt2 g(n+2) (1+b) + b), about sqrt(n) g(n).  The passes
+    compose as Percival's stages do, and the inverse, whose outputs each
+    sum all q inputs, errs at most as much against their 1-norm: one
+    correlation errs by |x| |y| (prod (1+eta)^3 (1 + sqrt2 g(2)) (1+e)^2
+    - 1), the last factors for the product and the scaling by 1/q.  For
+    p = 2 the entries are +-1, so every intermediate is a signed sum of
+    distinct inputs: an integer of size at most q forward, and at most
+    sum |S| <= 2q^2 in the inverse of a spectrum S (sum |F(1_X)|^2 is
+    q |X|, and Ext's S is |F(1_U)|^2 less such sums), and the counts are
+    exact for 2q^2 <= 2^53, q <= 2^26.
 
     A sum: the transforms are linear, so the error of a sum of spectra is
-    at most the sum of the terms' errors, each bounded as in the theorem,
-    and the error of the inverse grows with the norm of the sum, at most
-    the sum of the norms: norm is sum |x_i| |y_i|, |D_i| for a term
-    |F(1_D_i)|^2.  Accumulating the terms rounds once per term, counted by
-    terms more factors (1+e).  Ext's spectrum |F(1_U)|^2 - sum |F_i|^2 is
-    such a sum, of norm 2|U| were F(1_U) a transform of its own; summed
-    as F(1_U) = sum F_i over the K sets (the rest of U, when transformed,
-    is one more), it errs as a transform of a vector of norm sum |x_i|
-    would, so norm is (sum |x_i|)^2 + |U|, at most (K + 1) |U|."""
-    e = b = 2.0**-53
-    n = 3 * log2(4 * q)
-    return norm * expm1((3 * n + terms) * log1p(e) + 3 * n * log1p(b) + (3 * n + 1) * log1p(e * sqrt(5)))
+    at most the sum of the terms' errors, each bounded as above, and the
+    error of the inverse grows with the norm of the sum, at most the sum
+    of the norms: norm is sum |x_i| |y_i|, |D_i| for a term |F(1_D_i)|^2.
+    Accumulating the terms rounds once per term, counted by terms more
+    factors (1+e).  Ext's spectrum |F(1_U)|^2 - sum |F_i|^2 is such a sum,
+    of norm 2|U| were F(1_U) a transform of its own; summed as F(1_U) =
+    sum F_i over the K sets (the rest of U, when transformed, is one more),
+    it errs as a transform of a vector of norm sum |x_i| would, so norm is
+    (sum |x_i|)^2 + |U|, at most (K + 1) |U|."""
+    e = 2.0**-53
+    if axes is None:  # b = e
+        n = 3 * log2(4 * q)
+        stages, product = n * (2 * log1p(e) + log1p(e * sqrt(5))), log1p(e * sqrt(5))
+    else:
+        b = 2.0**-48
+        stages = sum(log1p(sqrt(n) * (sqrt(2) * (n + 2) * e / (1 - (n + 2) * e) * (1 + b) + b)) for n in axes)
+        product = log1p(2 * sqrt(2) * e / (1 - 2 * e)) + 2 * log1p(e)
+    return norm * expm1(3 * stages + product + terms * log1p(e))
+
+
+@cache
+def _dense_axes(p: int, m: int) -> tuple[int, ...] | None:
+    """Points per block axis of _dense: the m digits in as few blocks of at
+    most _DENSE points as hold them, as even as can be.  None for m = 1 and
+    where a block holds one digit (p >= 7): pocketfft's passes beat that."""
+    digits = 1
+    while p ** (digits + 1) <= _DENSE:
+        digits += 1
+    r = -(-m // digits)
+    return None if m == 1 or digits == 1 else tuple(p ** (m // r + (i < m % r)) for i in range(r))
+
+
+@cache
+def _characters(p: int, n: int) -> np.ndarray:
+    """The symmetric character matrix of (Z_p)^b, n = p^b: entry (j, k) is
+    zeta_p^-<j, k>, j and k read as b digits, each one root computed once;
+    real +-1 for p = 2.  Read-only, as callers share it."""
+    digits = np.array(np.unravel_index(np.arange(n), (p,) * round(log(n, p))))
+    W = np.exp(-1j * (2 * np.pi * np.arange(p) / p))[digits.T @ digits % p]
+    W = W.real.copy() if p == 2 else W
+    W.flags.writeable = False
+    return W
 
 
 def _indicator(field: Field, S: np.ndarray, dtype) -> np.ndarray:
@@ -152,21 +207,36 @@ def _indicator(field: Field, S: np.ndarray, dtype) -> np.ndarray:
     return ind.reshape((field.p,) * field.m)
 
 
-def _walsh(v: np.ndarray) -> np.ndarray:
-    """v, an int64 vector of length 2^m, replaced in place by its
-    Walsh-Hadamard transform: one butterfly pass per bit of the code."""
-    for bit in range(len(v).bit_length() - 1):
-        lo, hi = v.reshape(-1, 2, 1 << bit).swapaxes(0, 1)  # views: codes without and with the bit
-        lo += hi  # (lo, hi) -> (lo + hi, lo - hi)
-        hi *= -2
-        hi += lo
+def _dense(p: int, v: np.ndarray, sizes: tuple[int, ...], inverse: bool = False) -> np.ndarray:
+    """v, a float (p = 2) or complex vector over the codes, transformed
+    over (Z_p)^m in place and returned: on the C-order grid of shape sizes,
+    each fiber along an axis is multiplied by its character matrix,
+    conjugated and scaled by 1/q for the inverse.  Digits keep their
+    places, so forward this is fftn on the (p,)*m grid.  Scratch is
+    _SCRATCH values: whole rows while they fit, else a slice of one row."""
+    q, pre = len(v), 1
+    for n in sizes:
+        W = _characters(p, n).conj() if inverse else _characters(p, n)
+        grid = v.reshape(pre, n, -1)
+        post = grid.shape[2]
+        rows, cols = max(1, _SCRATCH // (n * post)), max(1, _SCRATCH // n)
+        for lo in range(0, pre, rows):
+            for c in range(0, post, cols):
+                blk = grid[lo : lo + rows, :, c : c + cols]
+                if post == 1:  # the last axis: the rows times W, which is symmetric
+                    blk[..., 0] = blk[..., 0] @ W
+                else:
+                    blk[...] = W @ blk
+        pre *= n
+    if inverse:
+        v *= 1 / q
     return v
 
 
 def _power(f: np.ndarray) -> np.ndarray:
-    """|f|^2 in place: an int64 (Walsh) spectrum f is squared and returned;
-    a complex one gets |f|^2 in its real part, 0 in its imaginary part,
-    and its real part is returned."""
+    """|f|^2 in place: a real spectrum f (p = 2) is squared and returned; a
+    complex one gets |f|^2 in its real part, 0 in its imaginary part, and
+    its real part is returned."""
     if f.dtype.kind != "c":
         return np.multiply(f, f, out=f)
     re, im = f.real, f.imag
@@ -186,14 +256,14 @@ def _summed_spectrum(field: Field, rows: list, union: np.ndarray | None, shape: 
     """The spectrum _transform_counts inverts: the sum of F(1_x) conj(F(1_y))
     over the rows, or with union |F(1_union)|^2 minus that sum, F(1_union)
     being the sum of the rows' spectra and, when union holds more, the
-    spectrum of the rest.  F is the int64 Walsh transform for p = 2, else
-    rfftn at shape, and the rows are all (x, x) or all (x, y), y not x: a
-    sum of |F(1_x)|^2 is a real half-spectrum, made complex for the
-    inverse.  At most three spectra are held at once, whatever the number
-    of rows: the sum, the union's and one row's."""
+    spectrum of the rest.  F is _dense where _dense_axes has axes (real
+    for p = 2), else rfftn at shape, and the rows are all (x, x) or all
+    (x, y), y not x: a sum of |F(1_x)|^2 is real.  At most three spectra
+    are held at once, whatever the number of rows: the sum, the union's
+    and one row's."""
     def forward(S):
-        if field.p == 2:
-            return _walsh(_indicator(field, S, np.int64).ravel())
+        if (axes := _dense_axes(field.p, field.m)) is not None:
+            return _dense(field.p, _indicator(field, S, float if field.p == 2 else complex).ravel(), axes)
         # with out, the passes over axes m-2, ..., 0 run in place
         out = np.empty((*shape[:-1], shape[-1] // 2 + 1), dtype=complex)
         return rfftn(_indicator(field, S, float), s=shape, axes=tuple(range(field.m)), out=out)
@@ -212,7 +282,7 @@ def _summed_spectrum(field: Field, rows: list, union: np.ndarray | None, shape: 
         acc = np.ascontiguousarray(term) if acc is None else np.add(acc, term, out=acc)
         del fx, term  # before the next row's spectrum is made
     if union is None:
-        return acc.astype(complex) if acc.dtype.kind == "f" else acc
+        return acc
     if len(union) > sum(len(x) for x, _ in rows):
         rest = np.setdiff1d(union, np.concatenate([x for x, _ in rows]), assume_unique=True) if rows else union
         whole = _add(whole, forward(rest))
@@ -231,24 +301,18 @@ def _transform_counts(field: Field, rows: list, union: np.ndarray | None = None)
     spectrum (see _summed_spectrum) and inverted once.  The algorithm
     depends on (p, m) alone:
 
-    * p = 2: x - y is x XOR y, so Delta = W(W(1_X) W(1_Y)) / q for the
-      Walsh-Hadamard transform W, in int64.  Every count of the sum is at
-      most q (the rows are disjoint, or one), so every inverse value is an
-      integer of size at most q^2 <= 2^62, and int64 arithmetic is exact
-      mod 2^64 (even where a butterfly doubles a value): the counts are
-      exact for q <= 2^31 and need no a-priori bound;
-    * p odd: irfftn of the summed rfftn products at shape s, rounded.  For
-      m = 1, s = (L,) for L = _fast_length(2q - 1), the smallest c 2^k >=
-      2q - 1 with c in {1, 3, 5}, so the correlation is linear: lags
-      0..q-1 sit at the front, lags -(q-1)..-1 at the back, and are folded
-      mod q, while the padded middle (empty when L = 2q - 1) must round to
-      0.  For m >= 2, s is the (p,)*m grid.
+    * m = 1: irfftn of the summed rfftn products at L = _fast_length(2q - 1),
+      so the correlation is linear: lags 0..q-1 sit at the front, lags
+      -(q-1)..-1 at the back and are folded mod q, and the padded middle
+      (empty when L = 2q - 1) must round to 0;
+    * m >= 2, p <= 5: _dense, real for p = 2 (where x - y is x XOR y);
+    * m >= 2, p >= 7: irfftn of the summed rfftn products on the (p,)*m grid.
 
-    The float paths need Percival's bound for the sum (_fft_error_bound)
-    and a rounding residual below 1/4.  Every path then needs no negative
-    count, the count at 0 and the total that the set sizes give: sum
-    |x & y| and sum |x| |y|, or with union |union| - sum |x| and |union|^2
-    - sum |x|^2."""
+    The a-priori bound (_error_bound) and each float's distance to the
+    count it rounds to, written block by block over the float's own bytes,
+    must be below 1/4.  Every path then needs no negative count, the count
+    at 0 and the total that the set sizes give: sum |x & y| and sum |x| |y|,
+    or with union |union| - sum |x| and |union|^2 - sum |x|^2."""
     q, p, m = field.q, field.p, field.m
     if union is None:
         zero = sum(len(x) if y is x else len(np.intersect1d(x, y, assume_unique=True)) for x, y in rows)
@@ -261,25 +325,31 @@ def _transform_counts(field: Field, rows: list, union: np.ndarray | None = None)
         total = len(union) ** 2 - sum(k * k for k in sizes)
         norm = sum(sizes) + (sum(map(sqrt, sizes)) + sqrt(zero)) ** 2
         terms = len(rows) + (zero > 0)
-    shape = (_fast_length(2 * q - 1),) if m == 1 else (p,) * m
-    if p != 2 and _fft_error_bound(q, norm, terms) >= 0.25:
+    axes = _dense_axes(p, m)
+    shape = (_fast_length(2 * q - 1),) if m == 1 else (p,) * m  # of rfftn, when axes is None
+    if _error_bound(q, axes, norm, terms) >= 0.25:
         return None
     spec = _summed_spectrum(field, rows, union, shape)
-    if p == 2:
-        counts = np.floor_divide(_walsh(spec), q, out=spec)
-    else:
+    if p != 2:  # both inverses take a complex spectrum; the real sum is freed
+        spec = spec.astype(complex, copy=False)
+    if axes is None:
         raw = irfftn(spec, s=shape, axes=tuple(range(m))).ravel()
-        del spec  # with the in-place steps, keeps the peak near two spectra
-        rounded = np.rint(raw)
-        raw -= rounded
-        if np.abs(raw, out=raw).max() >= 0.25:
+    else:
+        raw = _dense(p, spec, axes, inverse=True).real
+    del spec  # with the in-place steps, keeps the peak near two spectra
+    ints = raw.view(np.int64)
+    for lo in range(0, len(raw), _SCRATCH):
+        blk = raw[lo : lo + _SCRATCH]
+        near = np.rint(blk)
+        blk -= near
+        if np.abs(blk, out=blk).max() >= 0.25:
             return None
-        del raw
-        if m == 1:  # lag z - q is at index z - q, from the back; no lag reaches the middle
-            if np.count_nonzero(rounded[q : 1 - q]):
-                return None
-            rounded[1:q] += rounded[1 - q :]
-        counts = rounded[:q].astype(np.int64)
+        ints[lo : lo + _SCRATCH] = near
+    if m == 1:  # lag z - q is at index z - q, from the back; no lag reaches the middle
+        if np.count_nonzero(ints[q : 1 - q]):
+            return None
+        ints[1:q] += ints[1 - q :]
+    counts = ints if ints.shape == (q,) and ints.flags.c_contiguous else ints[:q].copy()
     if counts.min() < 0 or counts[0] != zero or counts.sum() != total:
         return None
     return counts
@@ -291,13 +361,19 @@ def _orbit_order(field: Field, X: np.ndarray, Y: np.ndarray) -> int | None:
     none up to ceil(log2 q): s passes over q bytes then stay well under
     the transform's O(q log q).  A set is such a union exactly when every
     class its logs hit mod s is hit f = (q - 1)/s times; only an f
-    dividing both sizes can pass, so the others need no log lookup."""
+    dividing both sizes can pass, so the others need no log lookup, and
+    g^s must map the first 8 codes of a set of more than _PROBED codes
+    into the set, so most others need no pass over its logs either."""
     q1 = field.q - 1
     x, y = X[int(X[0] == 0) :], Y[int(Y[0] == 0) :]
+    heads = [(S, field.log[S[:8]]) for S in ([x] if Y is X else [x, y]) if len(S) > _PROBED]
     logs = None
     for s in range(1, q1.bit_length() + 1):
         f, rem = divmod(q1, s)
         if rem or len(x) % f or len(y) % f:
+            continue
+        moved = [(S, field.exp[(head + s) % q1]) for S, head in heads]
+        if moved and not all((S.take(np.searchsorted(S, mv), mode="clip") == mv).all() for S, mv in moved):
             continue
         if logs is None:
             logs = [field.log[x]] if Y is X else [field.log[x], field.log[y]]

@@ -524,6 +524,28 @@ def test_orbit_count_matches_naive_pair_count(p, m, data):
 
 
 @pytest.mark.parametrize("p, m", ORBIT_FIELDS)
+def test_orbit_probe_keeps_the_order(monkeypatch, p, m):
+    # mapping a few codes by g^s is a necessary condition: probing every
+    # set (_PROBED = 0) finds the order that the pass over the logs alone
+    # (_PROBED = q) finds, for class unions, nudged ones and cross pairs
+    f = _diff_field(p, m)
+    rng = np.random.default_rng(f.q)
+    sets = []
+    for e in (e for e in (1, 2, 4, 8, 16) if (f.q - 1) % e == 0):
+        for _ in range(4):
+            S = class_union(f, e, np.flatnonzero(rng.random(e) < 0.5))
+            sets += [S, np.union1d(S, [0]), np.setdiff1d(S, S[rng.integers(len(S)):][:1])] if len(S) else []
+    pairs = [(X, X) for X in sets] + [(sets[i], sets[j]) for i, j in rng.integers(len(sets), size=(40, 2))]
+
+    def orders(probed):
+        monkeypatch.setattr(diffsets, "_PROBED", probed)
+        return [diffsets._orbit_order(f, X, Y) for X, Y in pairs]
+
+    found = orders(f.q)
+    assert orders(0) == found and None in found and 1 in found
+
+
+@pytest.mark.parametrize("p, m", ORBIT_FIELDS)
 def test_orbit_count_of_every_class_pair(monkeypatch, p, m):
     # Delta(C_i, C_j) for all classes of the largest order e <= 8 dividing
     # q - 1, each by orbit: in GF(3^5) it tells x - y from y - x
@@ -680,9 +702,15 @@ def test_r24_construction_roundtrip_is_an_array(gf13):
 # the padded length L = _fast_length(2q - 1) of a prime field is 2q - 1
 # itself, with no padded middle, at q = 3 (L = 5), a power of 2 at 7, 509
 # and 1021 (16, 1024, 2048), 3 * 2^k at 367 (768) and 5 * 2^k at 5, 17,
-# 257 and 2477 (10, 40, 640, 5120)
+# 257 and 2477 (10, 40, 640, 5120); p = 2 and the odd grids with p <= 5
+# take the dense transform, on one block axis up to 2^5, 3^3 and 5^2 and
+# on several above, and GF(7^2) and GF(19^2) take rfftn on the (p, p) grid
 TRANSFORM_FIELDS = ([(3, 1), (5, 1), (7, 1), (17, 1), (257, 1), (367, 1), (509, 1), (1021, 1), (2477, 1)]
-                    + [(2, m) for m in range(1, 13)])
+                    + [(2, m) for m in range(1, 13)]
+                    + [(3, 2), (3, 5), (3, 7), (5, 3), (5, 4), (7, 2), (19, 2)])
+
+# every (p, m) that takes the dense transform with q <= 3^7
+DENSE_FIELDS = [(2, m) for m in range(2, 12)] + [(3, m) for m in range(2, 8)] + [(5, m) for m in range(2, 5)]
 
 
 def test_fast_length_matches_brute_force():
@@ -711,36 +739,82 @@ def test_transform_counts_match_naive_pair_count(p, m, data):
         assert counts.dtype == np.int64 and np.array_equal(counts, naive_cross(f, X, y))
 
 
+def test_dense_axes_cut_digits_evenly():
+    axes = {(p, m): diffsets._dense_axes(p, m) for p in (2, 3, 5, 7, 47) for m in (1, 2, 9, 13, 14, 20)}
+    assert axes[2, 14] == (32, 32, 16) and axes[2, 20] == (32,) * 4 and axes[3, 9] == (27,) * 3
+    assert axes[3, 13] == (27, 27, 27, 9, 9) and axes[5, 9] == (25, 25, 25, 25, 5)
+    assert axes[3, 2] == (9,) and axes[2, 2] == (4,)
+    assert all(axes[p, 1] is None for p in (2, 3, 5)) and all(axes[p, m] is None for p in (7, 47) for m in (2, 20))
+
+
+@pytest.mark.parametrize("p, m", DENSE_FIELDS)
+def test_dense_forward_is_fftn(p, m):
+    # the blocked passes keep every digit in its place: the forward
+    # transform is fftn on the (p,)*m grid, and the inverse undoes it
+    f = _diff_field(p, m)
+    axes = diffsets._dense_axes(p, m)
+    v = np.random.default_rng(m).random(f.q)
+    fwd = diffsets._dense(p, v.astype(float if p == 2 else complex), axes)
+    assert np.allclose(fwd, np.fft.fftn(v.reshape((p,) * m)).ravel(), rtol=0, atol=1e-9)
+    assert np.allclose(diffsets._dense(p, fwd, axes, inverse=True), v, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p, m", [(2, 11), (3, 5), (3, 7), (5, 4)])
+def test_dense_error_bound_holds(p, m):
+    # the correlation of random integer vectors, with entries below 2^10 so
+    # that the exact one is an exact float64 sum, errs by at most the bound
+    f = _diff_field(p, m)
+    axes, rng = diffsets._dense_axes(p, m), np.random.default_rng(p * m)
+    x, y = rng.integers(0, 1 << 10, f.q), rng.integers(0, 1 << 10, f.q)
+    codes = np.arange(f.q)
+    exact = np.bincount(f.sub_codes(codes[:, None], codes[None, :]).ravel(),
+                        weights=np.outer(x, y).ravel().astype(float), minlength=f.q)
+    dtype = float if p == 2 else complex
+    fx, fy = (diffsets._dense(p, v.astype(dtype), axes) for v in (x, y))
+    raw = diffsets._dense(p, fx * np.conj(fy), axes, inverse=True).real
+    err = np.abs(raw - exact).max()
+    bound = diffsets._error_bound(f.q, axes, float(np.linalg.norm(x) * np.linalg.norm(y)), 1)
+    assert err <= bound < 1e-4 * np.abs(exact).max()  # and far from vacuous
+    assert p != 2 or err == 0  # +-1 entries: every float is an exact integer
+
+
+def test_dense_error_bound_below_quarter_at_large_q():
+    # |D| = (q - 1)/2 at the largest q <= 10^8 of each dense p, from the
+    # formula alone: no field is built and no transform runs
+    for p, m in ((2, 26), (3, 16), (5, 11)):
+        q = p**m
+        axes = diffsets._dense_axes(p, m)
+        assert diffsets._error_bound(q, axes, (q - 1) / 2, 1) < 0.25
+        assert diffsets._error_bound(q, axes, 4 * (q - 1) / 2, 4) < 0.25  # Ext of three sets
+
+
 # ids without a prefix are GF(19^2), on rfftn/irfftn over the grid; "prime"
-# is GF(367), on rfftn/irfftn zero-padded to 768; "walsh" is GF(2^9)
+# is GF(367), on rfftn/irfftn zero-padded to 768; "dense2" is GF(2^9) and
+# "dense3" GF(3^5), on the dense transform
 GUARD_CASES = (
     [pytest.param(19, 2, trip, id=trip) for trip in ("none", "residual", "sum", "bound")]
     + [pytest.param(367, 1, trip, id=f"prime-{trip}") for trip in ("none", "residual", "sum", "bound", "middle")]
-    + [pytest.param(2, 9, trip, id=f"walsh-{trip}") for trip in ("none", "walsh")]
+    + [pytest.param(p, m, trip, id=f"dense{p}-{trip}") for p, m in ((2, 9), (3, 5))
+       for trip in ("none", "residual", "sum", "bound")]
 )
 
 
 @pytest.mark.parametrize("p, m, trip", GUARD_CASES)
 def test_transform_guard_falls_back(monkeypatch, p, m, trip):
     f = _diff_field(p, m)
-    inverse = "irfftn"  # every odd field, prime or not
-    real_inverse, real_walsh, real_pair_counts = diffsets.irfftn, diffsets._walsh, diffsets._pair_counts
+    dense = diffsets._dense_axes(p, m) is not None
+    inverse = "_dense" if dense else "irfftn"  # the dense passes run forward too
+    real_inverse, real_pair_counts = getattr(diffsets, inverse), diffsets._pair_counts
     real_transform = diffsets._transform_counts
 
     def inverse_off_by(delta, at=7):
         def patched(*args, **kwargs):
             out = real_inverse(*args, **kwargs)
-            out.flat[at] += delta
+            if not dense or kwargs.get("inverse"):
+                out.flat[at] += delta
             return out
 
         return patched
-
-    def walsh_off_by_q(v):
-        # every output, the spectra's too, is q too high at code 7: the
-        # counts come out as Delta plus a vector that sums to 1
-        out = real_walsh(v)
-        out[7] += f.q
-        return out
 
     if trip == "residual":
         monkeypatch.setattr(diffsets, inverse, inverse_off_by(0.4))
@@ -749,9 +823,7 @@ def test_transform_guard_falls_back(monkeypatch, p, m, trip):
     elif trip == "middle":  # lag q cannot occur, and is not folded into any count
         monkeypatch.setattr(diffsets, inverse, inverse_off_by(1.0, at=f.q))
     elif trip == "bound":
-        monkeypatch.setattr(diffsets, "_fft_error_bound", lambda q, norm, terms: 1.0)
-    elif trip == "walsh":
-        monkeypatch.setattr(diffsets, "_walsh", walsh_off_by_q)
+        monkeypatch.setattr(diffsets, "_error_bound", lambda q, axes, norm, terms: 1.0)
     fallbacks, sums = [], []
 
     # every set below has more than q pairs, so a pair count over more
