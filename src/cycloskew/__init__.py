@@ -13,8 +13,6 @@ from .constructions import (
     get_recipe,
     iter_applicable,
     registry,
-    skew_from_families,
-    swap_combinator,
 )
 from .cyclotomy import (
     ClassPartition,
@@ -24,7 +22,6 @@ from .cyclotomy import (
     class_union,
     classes,
     closed_form_table,
-    cyclotomic_number_bruteforce,
     cyclotomic_numbers_order4,
     cyclotomic_numbers_order8,
     delta_via_cycnums,
@@ -48,7 +45,6 @@ from .numtheory import (
     QuadRepXY,
     a2_2b2_rep,
     is_prime_power,
-    is_quartic_residue,
     prime_power_decompose,
     two_is_quartic_residue,
     two_squares_rep,

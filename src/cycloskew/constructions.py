@@ -1,4 +1,4 @@
-"""Construction recipes and generic combinators.
+"""Construction recipes and the certification pipeline.
 
 Each recipe couples an applicability predicate with a family builder and
 the predicted certificate (kind, parameters, reference set).  Applying a
@@ -26,6 +26,11 @@ Recipes carrying suspect=True have frequency formulas that needed
 re-derivation from the underlying counting argument; the oracle is
 authoritative for them.  Plans whose predicted difference multiset would
 be empty are dropped (there is nothing to classify).
+
+No builder combines families into a skew PDS: the union of a DPDF/EPDF
+pair relative to a Paley PDS is certified by check_skew_pds like any
+other set, and the test suite checks that relation over the registry's
+families with the classifiers alone.
 """
 
 from __future__ import annotations
@@ -41,14 +46,8 @@ import numpy as np
 from .cyclotomy import class_of, class_union, cyclotomic_numbers_order8
 from .diffsets import (
     Certificate,
-    _split,
-    _validated_family,
     certify,
-    check_family,
-    check_pds,
-    check_skew_pds,
     family_params,
-    internal_differences,
     json_codes,
     json_sets,
     json_typed,
@@ -59,13 +58,10 @@ from .diffsets import (
     verify_certificate,
 )
 from .errors import (
-    DeltaNotConstant,
-    HypothesisNotMet,
     NoRepresentation,
     NotApplicable,
     NotPrimePower,
     PredictionMismatch,
-    ProfileNotTwoValued,
     UnknownRecipe,
 )
 from .field import Field, FieldSpec, build_field
@@ -618,54 +614,6 @@ def recheck(con: Construction, field: Field) -> list[str]:
 def apply(recipe: Recipe, field: Field) -> list[Construction]:
     """Build every plan of the recipe and certify it against the oracle."""
     return [_certified(recipe.id, plan, field, recipe.suspect) for plan in recipe.plans(field)]
-
-
-# ---- generic combinators ----
-
-
-def swap_combinator(field: Field, pairs) -> Construction:
-    """Certify {D_i} as a DPDF relative to the union of the A_i, given that
-    each Delta(D_i) is two-valued over (A_i*, G* minus A_i) with a common
-    difference of frequencies."""
-    ds, _ = _validated_family(field, [d for d, _ in pairs])
-    as_, ref = _validated_family(field, [a for _, a in pairs])
-    deltas, mus = [], []
-    for d, a in zip(ds, as_):
-        lam_mu = _split(field, internal_differences(field, d), a)
-        if lam_mu is None or lam_mu[0] == lam_mu[1]:
-            raise ProfileNotTwoValued("Delta(D) is not two-valued over the given A split")
-        deltas.append(lam_mu[0] - lam_mu[1])
-        mus.append(lam_mu[1])
-    if len(set(deltas)) != 1:
-        raise DeltaNotConstant(f"lambda - mu differs across pairs: {deltas}")
-    params = family_params(field.q, ds, deltas[0] + sum(mus), sum(mus))
-    plan = Plan("swap", "internal", ds, ref, "RelativeDPDF", params)
-    return _certified("swap", plan, field)
-
-
-def skew_from_families(field: Field, family, reference) -> Certificate:
-    """If the family is a DPDF/EPDF pair relative to a PDS T (with at most
-    one side degenerating to a DDF/EDF), certify the union as a skew PDS.
-    The corresponding PDS is recovered from the union's own profile."""
-    t_cert = check_pds(field, reference)
-    t = t_cert.sets[0]
-    fam, union = _validated_family(field, family)
-    if not t_cert.ok or len(t) != len(union):
-        raise HypothesisNotMet("reference is not a PDS of the union's size")
-    int_cert = check_family(field, fam, "internal", reference=t)
-    ext_cert = check_family(field, fam, "external", reference=t)
-    int_kind = int_cert.kind
-    ext_kind = ext_cert.kind
-    if ext_kind == "None" and len(fam) == 1:
-        ext_kind = "EDF"  # a one-set family has a vacuously uniform Ext
-    int_ok = int_kind in ("RelativeDPDF", "DDF")
-    ext_ok = ext_kind in ("RelativeEPDF", "EDF")
-    both_plain = int_kind == "DDF" and ext_kind == "EDF"
-    if not (int_ok and ext_ok) or both_plain:
-        raise HypothesisNotMet(
-            f"family is Int={int_kind}, Ext={ext_kind} relative to the reference"
-        )
-    return check_skew_pds(field, union)
 
 
 # ---- range enumeration ----

@@ -89,31 +89,19 @@ class CycNumTable:
     reps: dict = dc_field(default_factory=dict)  # s,t,x,y,a,b actually used
 
 
-def cyclotomic_number_bruteforce(field: Field, e: int, i: int, j: int) -> int:
-    """(i,j)_e read off the brute-force table, O(q)."""
-    _check_order(field, e)
-    if not (0 <= i < e and 0 <= j < e):
-        raise IndexOutOfRange(f"({i},{j}) out of range for e={e}")
-    return int(bruteforce_table(field, e).counts[i, j])
-
-
 _BLOCK = 2**14  # codes per numpy pass over the log table
-
-
-def _blocks(field: Field, e: int):
-    """(lo, hi) bounds of consecutive blocks of the nonzero codes, _BLOCK
-    codes each or e^2 when that is larger."""
-    step = max(_BLOCK, e * e)
-    return ((lo, min(lo + step, field.q)) for lo in range(1, field.q, step))
 
 
 def bruteforce_table(field: Field, e: int) -> CycNumTable:
     """All e x e cyclotomic numbers: one bincount of the class pairs
     (log z mod e, log(z + 1) mod e) over the nonzero codes z in code
-    order, which keeps the log lookups local; z + 1 = 0 is dropped."""
+    order, which keeps the log lookups local; z + 1 = 0 is dropped.
+    A block is _BLOCK codes, or e^2 when that is larger."""
     _check_order(field, e)
     counts = np.zeros(e * e, dtype=np.int64)
-    for lo, hi in _blocks(field, e):
+    step = max(_BLOCK, e * e)
+    for lo in range(1, field.q, step):
+        hi = min(lo + step, field.q)
         z1 = field.succ_codes(np.arange(lo, hi))
         pairs = field.log[lo:hi] % e * np.int64(e) + field.log[z1] % e
         counts += np.bincount(pairs[z1 != 0], minlength=e * e)
@@ -308,15 +296,3 @@ def delta_via_cycnums(table: CycNumTable, j: int, l: int | None = None) -> np.nd
     col, shift = (0, j) if l is None else (j, l)
     return np.roll(table.counts[:, col], shift).astype(np.int64)
 
-
-def classwise_profile(field: Field, e: int, counts: np.ndarray) -> np.ndarray | None:
-    """Collapse a length-q count vector to an e-vector if it is constant on
-    every class of order e, else None.  Entry i is the count at g^i; each
-    block of codes is compared with these values spread by class, so no
-    class is gathered."""
-    _check_order(field, e)
-    prof = np.asarray(counts[field.exp[:e]], dtype=np.int64)
-    for lo, hi in _blocks(field, e):
-        if not np.array_equal(counts[lo:hi], prof[field.log[lo:hi] % e]):
-            return None
-    return prof

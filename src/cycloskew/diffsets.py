@@ -471,7 +471,11 @@ def diff_counts(field: Field, pairs: list, union: np.ndarray | None = None) -> n
 
 def internal_differences(field: Field, D) -> np.ndarray:
     """Delta(D): counts of x - y over distinct x, y in D."""
-    d = as_element_set(field, D)
+    return _delta(field, as_element_set(field, D))
+
+
+def _delta(field: Field, d: np.ndarray) -> np.ndarray:
+    """Delta(d) of a set that is already sorted, distinct and in range."""
     return _family_profile(field, d[None], d, "internal")
 
 
@@ -722,7 +726,7 @@ def _pds_certificate(field: Field, kind: str, d: np.ndarray, ref: np.ndarray, la
 def check_pds(field: Field, A) -> Certificate:
     """Certify A as a (v, k, lambda, mu) partial difference set."""
     a = as_element_set(field, A)
-    lam_mu = _split(field, internal_differences(field, a), a)
+    lam_mu = _split(field, _delta(field, a), a)
     if lam_mu is None:
         return Certificate("None", field.spec, (a,), None)
     return _pds_certificate(field, "PDS", a, a, *lam_mu)
@@ -750,7 +754,7 @@ def check_skew_pds(field: Field, D) -> Certificate:
     from the profile itself (the support of either value, with or
     without 0 adjoined)."""
     d = as_element_set(field, D)
-    prof = internal_differences(field, d)
+    prof = _delta(field, d)
     vals = _levels(prof[1:])
     if vals is None or len(vals) != 2:
         return Certificate("None", field.spec, (d,), None)
@@ -759,7 +763,7 @@ def check_skew_pds(field: Field, D) -> Certificate:
         cand += 1
         if len(cand) + 1 == len(d):  # 0 sorts first
             cand = np.concatenate(([0], cand))
-        if len(cand) != len(d) or not np.array_equal(internal_differences(field, cand), prof):
+        if len(cand) != len(d) or not np.array_equal(_delta(field, cand), prof):
             continue
         offset = _translate_offset(field, d, cand)
         kind = "SkewPDS" if offset is None else "TrivialSkewPDS"
@@ -803,7 +807,7 @@ def check_ads(field: Field, D) -> Certificate:
     """Certify D as an almost difference set: nonzero counts are lambda on
     some t-subset and lambda + 1 elsewhere."""
     d = as_element_set(field, D)
-    prof = internal_differences(field, d)
+    prof = _delta(field, d)
     vals = _levels(prof[1:])
     if vals is None or vals[-1] > vals[0] + 1:
         return Certificate("None", field.spec, (d,), None)

@@ -86,18 +86,6 @@ class PredictionMismatch(CycloskewError):
     pass
 
 
-class DeltaNotConstant(CycloskewError):
-    pass
-
-
-class ProfileNotTwoValued(CycloskewError):
-    pass
-
-
-class HypothesisNotMet(CycloskewError):
-    pass
-
-
 class UnknownRecipe(CycloskewError):
     pass
 

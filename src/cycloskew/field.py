@@ -263,15 +263,6 @@ class Field:
             raise DivisionByZero("0 has no multiplicative inverse")
         return int(self.exp[(-int(self.log[a])) % (self.q - 1)])
 
-    def pow(self, a: int, n: int) -> int:
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise DivisionByZero("negative power of 0")
-            return 0
-        return int(self.exp[(int(self.log[a]) * n) % (self.q - 1)])
-
     def dlog(self, a: int) -> int:
         if a == 0:
             raise ZeroHasNoLog("discrete log of 0 is undefined")
@@ -313,9 +304,6 @@ class Field:
     def sum_codes(self, arr) -> int:
         """Field sum of all elements in the array."""
         return int(self._digitwise(np.sum, np.asarray(arr, dtype=np.int64)))
-
-    def nonzero_codes(self) -> np.ndarray:
-        return np.arange(1, self.q, dtype=np.int64)
 
     # ---- generator changes ----
 

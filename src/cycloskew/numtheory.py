@@ -133,13 +133,6 @@ def a2_2b2_rep(q: int, p: int, m: int) -> QuadRepAB:
     raise NoRepresentation(f"{q} is not representable as a^2 + 2b^2")
 
 
-def is_quartic_residue(field: Field, code: int) -> bool:
-    """True iff the discrete log of the element is divisible by 4."""
-    if (field.q - 1) % 4 != 0:
-        raise OrderDoesNotDivide(f"4 does not divide q-1 = {field.q - 1}")
-    return field.dlog(code) % 4 == 0
-
-
 def two_is_quartic_residue(q: int, p: int) -> bool:
     """Whether 2 is a fourth power in GF(q), q = 1 mod 4.  The fourth powers
     are the one subgroup of index 4, whatever the generator, and 2 lies in

@@ -1,20 +1,21 @@
 import dataclasses
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cycloskew import (
     apply,
     build_field,
     check_family,
+    check_pds,
+    check_skew_pds,
     class_of,
     class_union,
     classes,
     get_recipe,
     iter_applicable,
     registry,
-    skew_from_families,
-    swap_combinator,
 )
 from cycloskew.constructions import (
     Plan,
@@ -27,15 +28,12 @@ from cycloskew.constructions import (
 from cycloskew.errors import (
     ContainsZero,
     CycloskewError,
-    DeltaNotConstant,
     DuplicateElement,
-    HypothesisNotMet,
     IndexOutOfRange,
     InvalidElementCode,
     NotApplicable,
     NotDisjoint,
     PredictionMismatch,
-    ProfileNotTwoValued,
 )
 
 
@@ -278,49 +276,51 @@ def test_iter_applicable_runs_each_precheck_once(monkeypatch):
     assert set(calls.values()) == {1}
 
 
-def test_swap_combinator(gf13, gf361):
-    p2 = classes(gf13, 2)
-    single = swap_combinator(gf13, [([1, 3, 7, 8, 9, 11], p2.members[0])])
-    assert single.certificate.kind == "RelativeDPDF"
-    assert single.certificate.params == {"v": 13, "m": 1, "k": 6, "lambda": 2, "mu": 3}
-
-    p4 = classes(gf361, 4)
-    pairs = [(class_union(gf361, 8, (3, 5)), p4.members[0]), (class_union(gf361, 8, (2, 6)), p4.members[2])]
-    x = field_facts(gf361).x
-    combo = swap_combinator(gf361, pairs)
-    q = 361
-    assert combo.certificate.params == {
-        "v": q,
-        "m": 2,
-        "k": 90,
-        "lambda": (q - 7 - 2 * x) // 8,
-        "mu": (q - 3 + 2 * x) // 8,
+def test_skew_pds_from_dpdf_epdf_pairs_across_the_registry():
+    """The relation of skew PDSs to DPDF/EPDF pairs, over every registry
+    family whose union has (q - 1)/2 codes, q <= 1500, q = 1 (mod 4).
+    Relative to a Paley PDS T = C_0^2 or C_1^2 the hypothesis holds when
+    Int is a relative DPDF or a DDF and Ext a relative EPDF or an EDF (a
+    one-set family's Ext is vacuously uniform), not both plain.  The union
+    of such a family must be a skew PDS, and a non-trivial one the set of
+    a registry skew plan in that field."""
+    met, failed, sources = Counter(), Counter(), {}
+    for q, p, m in prime_powers(5, 1500):
+        recipes = [r for r in registry() if q % 4 == 1 and r.precheck(q, p, m)]
+        if not recipes:
+            continue
+        field = build_field(p, m)
+        plans = [(r.id, plan) for r in recipes for plan in r.plans(field)]
+        skew_sets = [(rid, plan.family[0]) for rid, plan in plans if plan.mode == "skew"]
+        paley = [class_union(field, 2, (i,)) for i in (0, 1)]
+        assert all(check_pds(field, t).kind == "PDS" for t in paley), q
+        for rid, plan in plans:
+            union = np.sort(np.concatenate(plan.family))
+            if plan.mode == "skew" or len(union) != (q - 1) // 2:
+                continue
+            for t in paley:
+                int_kind, ext_kind = (check_family(field, plan.family, mode, reference=t).kind
+                                      for mode in ("internal", "external"))
+                if ext_kind == "None" and len(plan.family) == 1:
+                    ext_kind = "EDF"
+                if (int_kind not in ("RelativeDPDF", "DDF") or ext_kind not in ("RelativeEPDF", "EDF")
+                        or (int_kind, ext_kind) == ("DDF", "EDF")):
+                    failed[rid] += 1
+                    continue
+                kind = check_skew_pds(field, union).kind
+                assert kind in ("SkewPDS", "TrivialSkewPDS"), (q, rid, plan.label, kind)
+                met[rid, plan.mode, kind] += 1
+                if kind == "SkewPDS":
+                    sources[q, rid, plan.label] = tuple(s for s, d in skew_sets if np.array_equal(d, union))
+    assert met == {
+        **{(rid, mode, "SkewPDS"): 22 for rid in ("R13", "R14") for mode in ("internal", "external")},
+        **{("R24", mode, "TrivialSkewPDS"): 244 for mode in ("internal", "external")},
+        **{("R25", mode, "TrivialSkewPDS"): 124 for mode in ("internal", "external")},
     }
-    ref = sorted(set(int(c) for c in p4.members[0]) | set(int(c) for c in p4.members[2]))
-    assert combo.certificate.reference_set.tolist() == ref
-
-
-def test_swap_combinator_errors(gf13):
-    p2 = classes(gf13, 2)
-    with pytest.raises(ProfileNotTwoValued):
-        swap_combinator(gf13, [([1, 2, 3], [1, 12])])
-    with pytest.raises(DeltaNotConstant):
-        swap_combinator(gf13, [(p2.members[0], p2.members[0]), ([2, 7], [5, 8])])
-    with pytest.raises(NotDisjoint):
-        swap_combinator(gf13, [([1, 2], [1, 12]), ([2, 3], [2, 11])])
-
-
-def test_skew_from_families(gf13):
-    p2 = classes(gf13, 2)
-    cert = skew_from_families(gf13, [[1, 2], [3, 6], [5, 9]], p2.members[0])
-    assert cert.kind == "SkewPDS"
-    assert cert.reference_set.tolist() == [2, 5, 6, 7, 8, 11]
-
-    trivial = skew_from_families(gf13, [p2.members[0]], p2.members[0])
-    assert trivial.kind == "TrivialSkewPDS"
-
-    with pytest.raises(HypothesisNotMet):
-        skew_from_families(gf13, [[1, 2], [3, 4], [5, 6]], p2.members[0])
+    assert Counter((rid, src) for (_, rid, _), src in sources.items()) == {
+        ("R13", ("R1",)): 22, ("R14", ("R1",)): 18, ("R14", ("R2",)): 4,
+    }
+    assert failed == {"R12": 8, "R16": 2, "R17": 70, "R18": 140, "R19": 16, "R20": 16, "R22": 8}
 
 
 def _with_defect(family, defect):
@@ -347,31 +347,8 @@ def _error(call):
      ("zero", ContainsZero), ("shared", NotDisjoint)],
 )
 def test_combinators_reject_set_defects_as_check_family(gf13, defect, expect):
-    # the skew_from_families family is a DPDF relative to the squares
-    fam, other = [[1, 2], [3, 6], [5, 9]], [[4, 10], [7, 8], [11, 12]]
-    bad = _with_defect(fam, defect)
-    assert _error(lambda: check_family(gf13, bad, "internal")) is expect
-    assert _error(lambda: swap_combinator(gf13, list(zip(bad, other)))) is expect
-    assert _error(lambda: swap_combinator(gf13, list(zip(fam, _with_defect(other, defect))))) is expect
-    assert _error(lambda: skew_from_families(gf13, bad, classes(gf13, 2).members[0])) is expect
-
-
-def test_skew_from_families_gf25(gf25):
-    # the R19 family: Int is a DPDF relative to the squares; the union is a
-    # skew PDS iff Ext also lines up, which the oracle decides
-    p2 = classes(gf25, 2)
-    fam = [class_union(gf25, 8, (0, 3)), class_union(gf25, 8, (1, 6))]
-    from cycloskew import family_external
-
-    ext = family_external(gf25, fam)
-    sq = p2.members[0]
-    nsq = p2.members[1]
-    two_valued = len(set(int(ext[c]) for c in sq)) == 1 and len(set(int(ext[c]) for c in nsq)) == 1
-    if two_valued:
-        assert skew_from_families(gf25, fam, p2.members[0]).ok
-    else:
-        with pytest.raises(HypothesisNotMet):
-            skew_from_families(gf25, fam, p2.members[0])
+    fam = [[1, 2], [3, 6], [5, 9]]  # a DPDF relative to the squares
+    assert _error(lambda: check_family(gf13, _with_defect(fam, defect), "internal")) is expect
 
 
 def test_not_applicable(gf9):

@@ -10,7 +10,6 @@ from cycloskew import (
     class_union,
     classes,
     closed_form_table,
-    cyclotomic_number_bruteforce,
     cyclotomic_numbers_order4,
     cyclotomic_numbers_order8,
     delta_via_cycnums,
@@ -18,8 +17,13 @@ from cycloskew import (
 )
 from cycloskew import cyclotomy as cyclotomy_module
 from cycloskew.constructions import prime_powers
-from cycloskew.cyclotomy import classwise_profile
 from cycloskew.errors import IndexOutOfRange, NotOneMod4, NotOneMod8, OrderDoesNotDivide
+
+
+def spread(field, e, prof):
+    """The class profile prof over the nonzero codes: entry c - 1 is
+    prof[class of c]."""
+    return prof[class_of(field, e, np.arange(1, field.q))]
 
 
 def count_pairs(field, part, i, j):
@@ -51,8 +55,7 @@ def test_classes_errors(gf13):
         # the cyclotomic numbers take (field, e) and check the order themselves
         for call in (
             lambda: bruteforce_table(gf13, e),
-            lambda: cyclotomic_number_bruteforce(gf13, e, 0, 0),
-            lambda: classwise_profile(gf13, e, np.zeros(13, dtype=np.int64)),
+            lambda: class_of(gf13, e, 1),
         ):
             with pytest.raises(OrderDoesNotDivide):
                 call()
@@ -94,11 +97,11 @@ def test_class_union_matches_partition_and_log_mask(gf13_7, gf25):
 
 def test_bruteforce_entries_gf13(gf13):
     p4 = classes(gf13, 4)
-    assert cyclotomic_number_bruteforce(gf13, 4, 0, 0) == 0 == count_pairs(gf13, p4, 0, 0)
-    assert cyclotomic_number_bruteforce(gf13, 4, 0, 2) == 2 == count_pairs(gf13, p4, 0, 2)
-    with pytest.raises(IndexOutOfRange):
-        cyclotomic_number_bruteforce(gf13, 4, 0, 4)
-    assert cyclotomic_number_bruteforce(gf13, 1, 0, 0) == gf13.q - 2
+    counts = bruteforce_table(gf13, 4).counts
+    assert counts[0, 0] == 0 == count_pairs(gf13, p4, 0, 0)
+    assert counts[0, 2] == 2 == count_pairs(gf13, p4, 0, 2)
+    assert counts.shape == (4, 4)  # no cell (0, 4)
+    assert bruteforce_table(gf13, 1).counts[0, 0] == gf13.q - 2
 
 
 def test_bruteforce_table_matches_entrywise(gf13, gf25, gf17):
@@ -110,34 +113,11 @@ def test_bruteforce_table_matches_entrywise(gf13, gf25, gf17):
         for i in range(e):
             for j in range(e):
                 assert table.counts[i, j] == count_pairs(f, part, i, j)
-                assert cyclotomic_number_bruteforce(f, e, i, j) == count_pairs(f, part, i, j)
-
-
-def _check_profiles(field, e, rng):
-    """classwise_profile gives a spread profile back, and None once the
-    count at the first or last code of a class, or at q - 1, is raised."""
-    prof = rng.integers(0, 50, size=e)
-    counts = np.append(99, prof[field.log[1:] % e])  # the count at 0 is in no class
-    got = classwise_profile(field, e, counts)
-    assert got is not None and got.dtype == np.int64 and np.array_equal(got, prof), (field.q, e)
-    members = [class_union(field, e, (i,)) for i in range(e)]
-    for code in {int(c[0]) for c in members} | {int(c[-1]) for c in members} | {field.q - 1}:
-        bumped = counts.copy()
-        bumped[code] += 1
-        assert classwise_profile(field, e, bumped) is None, (field.q, e, code)
-
-
-def test_classwise_profile_round_trip_and_none(gf17, gf25):
-    rng = np.random.default_rng(20261019)
-    for f in (gf17, gf25):
-        for e in (2, 4, 8):
-            _check_profiles(f, e, rng)
 
 
 def test_cyclotomy_in_small_blocks(monkeypatch):
     # blocks of a few codes put the base-p carry (z = -1 mod p) and the
     # dropped z = p - 1, whose z + 1 is 0, on block edges
-    rng = np.random.default_rng(7)
     for block in (1, 2, 3, 5):
         monkeypatch.setattr(cyclotomy_module, "_BLOCK", block)
         for p, m in ((3, 3), (3, 4), (5, 3), (13, 1)):
@@ -148,7 +128,6 @@ def test_cyclotomy_in_small_blocks(monkeypatch):
                 part = classes(f, e)
                 want = [[count_pairs(f, part, i, j) for j in range(e)] for i in range(e)]
                 assert bruteforce_table(f, e).counts.tolist() == want, (f.q, e, block)
-                _check_profiles(f, e, rng)
 
 
 def test_class_of_is_log_mod_e(gf25):
@@ -228,8 +207,7 @@ def test_delta_profiles_match_lemma(gf13):
     table = bruteforce_table(gf13, 4)
     for j in range(4):
         predicted = delta_via_cycnums(table, j)
-        actual = classwise_profile(gf13, 4, internal_differences(gf13, p4.members[j]))
-        assert actual is not None and np.array_equal(predicted, actual)
+        assert np.array_equal(internal_differences(gf13, p4.members[j])[1:], spread(gf13, 4, predicted))
 
 
 def test_delta_profile_order2(gf13):
@@ -246,9 +224,7 @@ def test_delta_cross_part_two(gf13):
         for l in range(4):
             predicted = delta_via_cycnums(table, j, l)
             counts = cross_differences(gf13, p4.members[(j + l) % 4], p4.members[l])
-            counts[0] = 0
-            actual = classwise_profile(gf13, 4, counts)
-            assert actual is not None and np.array_equal(predicted, actual)
+            assert np.array_equal(counts[1:], spread(gf13, 4, predicted))
 
 
 def test_closed_form_order2():

@@ -3,7 +3,7 @@ import pytest
 from cycloskew import (
     a2_2b2_rep,
     build_field,
-    is_quartic_residue,
+    class_of,
     prime_power_decompose,
     two_is_quartic_residue,
     two_squares_rep,
@@ -60,17 +60,17 @@ def test_a2_2b2_examples():
 
 
 def test_quartic_residues(gf13, gf17, gf81):
-    assert is_quartic_residue(gf81, gf81.element(2)) is True
-    assert is_quartic_residue(gf13, 3) is True  # 3 = 2^4
+    assert class_of(gf81, 4, gf81.element(2)) == 0
+    assert class_of(gf13, 4, 3) == 0  # 3 = 2^4
     # exponent-table oracle: 2 = 3^k in GF(17)
     cur, k = 1, 0
     while cur != 2:
         cur = cur * 3 % 17
         k += 1
     assert k == 14 and k % 4 != 0
-    assert is_quartic_residue(gf17, 2) is False
+    assert class_of(gf17, 4, 2) != 0
     with pytest.raises(OrderDoesNotDivide):
-        is_quartic_residue(build_field(7), 2)
+        class_of(build_field(7), 4, 2)
 
 
 def test_two_is_quartic_residue_needs_no_generator():
@@ -82,7 +82,7 @@ def test_two_is_quartic_residue_needs_no_generator():
         f = build_field(p, m)
         other = f.with_generator(int(f.generator_codes()[1]))
         expect = two_is_quartic_residue(q, p)
-        assert is_quartic_residue(f, 2) == expect == is_quartic_residue(other, 2), q
+        assert (class_of(f, 4, 2) == 0) == expect == (class_of(other, 4, 2) == 0), q
     for q, p in ((7, 7), (27, 3), (11**3, 11)):
         with pytest.raises(OrderDoesNotDivide):
             two_is_quartic_residue(q, p)

@@ -16,3 +16,20 @@ def test_readme_library_tour_runs():
         [sys.executable, "-c", blocks[0]], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_public_names_pinned():
+    # adding or removing a public name is an edit of this list
+    import cycloskew
+
+    assert sorted(cycloskew.__all__) == [
+        "Certificate", "ClassPartition", "Construction", "CycNumTable", "Field", "FieldSpec", "Plan",
+        "QuadRepAB", "QuadRepST", "QuadRepXY", "Recipe", "a2_2b2_rep", "apply", "bruteforce_table",
+        "build_field", "check_ads", "check_family", "check_pds", "check_skew_pds", "class_of",
+        "class_union", "classes", "closed_form_table", "constructions", "cross_differences",
+        "cyclotomic_numbers_order4", "cyclotomic_numbers_order8", "cyclotomy", "default_poly",
+        "delta_via_cycnums", "diffsets", "errors", "family_external", "family_internal", "field",
+        "field_facts", "get_recipe", "internal_differences", "is_prime", "is_prime_power",
+        "iter_applicable", "numtheory", "prime_power_decompose", "registry", "two_is_quartic_residue",
+        "two_squares_rep", "verify_certificate", "x2_4y2_rep",
+    ]
