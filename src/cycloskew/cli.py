@@ -22,6 +22,7 @@ only when the whole scan succeeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -133,20 +134,52 @@ def construction_entry(con: Construction) -> dict:
     return entry
 
 
+# stands in for an array an entry holds twice, so json.dumps encodes it once
+SPLICE_MARK = "cycloskew-spliced:"
+
+
+def entry_line(con: Construction) -> str:
+    """The catalog line of con: the bytes json.dumps(construction_entry(con))
+    writes.  A certificate that repeats its plan's family as sets, or its
+    reference as reference_set, gets a placeholder in both places, and the
+    array's text, encoded once, is spliced over it.  Entries hold lists of
+    int codes, so lists that compare equal encode to the same text."""
+    entry = construction_entry(con)
+    cert = entry["certificate"]
+    repeats = () if cert is None else (("family", "sets"), ("reference", "reference_set"))
+    shared = []  # (key, certificate key, placeholder text, array)
+    for key, cert_key in repeats:
+        value = entry[key]
+        if value is not None and value == cert[cert_key]:
+            entry[key] = cert[cert_key] = SPLICE_MARK + key
+            shared.append((key, cert_key, json.dumps(SPLICE_MARK + key), value))
+    text = json.dumps(entry)
+    # a string elsewhere in the entry may hold a placeholder's text
+    if all(text.count(mark) == 2 for _, _, mark, _ in shared):
+        for _, _, mark, value in shared:
+            text = text.replace(mark, json.dumps(value))
+        return text
+    for key, cert_key, _, value in shared:
+        entry[key] = cert[cert_key] = value
+    return json.dumps(entry)
+
+
 def cmd_scan(args) -> int:
     recipe_ids = None if args.recipes == "all" else args.recipes.split(",")
     cons = iter_applicable(args.q_min, args.q_max, recipe_ids, certify_cap=args.certify_cap)
     if not args.out:
         for con in cons:
-            print(json.dumps(construction_entry(con)))
+            print(entry_line(con))
         return 0
     tmp, count = args.out + ".tmp", 0
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             for con in cons:
-                fh.write(json.dumps(construction_entry(con)) + "\n")
+                fh.write(entry_line(con) + "\n")
                 count += 1
         os.replace(tmp, args.out)
+    except OSError as exc:
+        raise ParseError(f"cannot write catalog {args.out}: {exc}") from exc
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
@@ -297,7 +330,10 @@ def _add_field_args(sub):
     sub.add_argument("--gen", type=int, help="generator element code")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared after.
+    It holds no command function: main looks up cmd_<command> at each call."""
     parser = argparse.ArgumentParser(prog="cycloskew")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -306,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("table", type=int, choices=(1, 2))
     t.add_argument("bound", type=int)
     t.add_argument("--certify-cap", type=int, default=10**5)
-    t.set_defaults(func=cmd_tables)
 
     s = subs.add_parser("scan", help="sweep recipes over a prime power range")
     s.add_argument("q_min", type=int)
@@ -314,14 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--recipes", default="all", help="comma separated recipe ids, or 'all'")
     s.add_argument("--certify-cap", type=int, default=5000)
     s.add_argument("--out", help="output catalog path (JSON lines); stdout if omitted")
-    s.set_defaults(func=cmd_scan)
 
     v = subs.add_parser("verify", help="classify explicit sets")
     _add_field_args(v)
     v.add_argument("--sets", required=True, help="JSON array of arrays, inline or @FILE")
     v.add_argument("--mode", required=True)
     v.add_argument("--reference", help="reference set as a JSON array (wrapped or not)")
-    v.set_defaults(func=cmd_verify)
 
     c = subs.add_parser("cycnum", help="cyclotomic number tables")
     _add_field_args(c)
@@ -330,23 +363,20 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--closed-form", dest="variant", action="store_const", const="closed-form")
     group.add_argument("--brute-force", dest="variant", action="store_const", const="brute-force")
     group.add_argument("--compare", dest="variant", action="store_const", const="compare")
-    c.set_defaults(variant="compare", func=cmd_cycnum)
+    c.set_defaults(variant="compare")
 
     k = subs.add_parser("catalog", help="re-verify a catalog file")
     k.add_argument("file")
     k.add_argument("--limit", type=int, default=0, help="spot-check only the first N entries")
-    k.set_defaults(func=cmd_catalog)
 
-    r = subs.add_parser("recipes", help="dump the recipe registry")
-    r.set_defaults(func=cmd_recipes)
+    subs.add_parser("recipes", help="dump the recipe registry")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except CycloskewError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -3,16 +3,19 @@ import json
 import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cycloskew.cli
 import cycloskew.constructions
 from cycloskew import errors
-from cycloskew.cli import main, table1_rows, table2_rows
+from cycloskew.cli import SPLICE_MARK, construction_entry, entry_line, main, table1_rows, table2_rows
+from cycloskew.constructions import Construction, iter_applicable
 from cycloskew.diffsets import SET_MODES
 
 
@@ -220,6 +223,89 @@ def test_scan_mismatch_leaves_no_catalog(tmp_path, capsys, monkeypatch):
     assert code == 2 and "PredictionMismatch" in err
     qs = [json.loads(line)["q"] for line in out_text.splitlines()]
     assert qs and max(qs) < 53
+
+
+def blank_timestamp(line: str) -> str:
+    return re.sub(r'"timestamp": "[^"]*"', '"timestamp": null', line)
+
+
+def _one_code_off(sets, q: int):
+    """sets (an array, or a tuple of arrays) with its first code moved on by one, mod q."""
+    first = sets if isinstance(sets, np.ndarray) else sets[0]
+    changed = first.copy()
+    changed.flat[0] = (changed.flat[0] + 1) % q
+    return changed if isinstance(sets, np.ndarray) else (changed, *sets[1:])
+
+
+def _hand_built(cons: list[Construction]) -> list[Construction]:
+    """Certified constructions whose certificate differs from the plan, or
+    whose note holds a placeholder's text."""
+    with_ref = next(c for c in cons if c.plan.reference is not None)
+    pairs = next(c for c in cons if isinstance(c.certificate.sets, np.ndarray))  # a 2-D family
+    cert, q = with_ref.certificate, with_ref.field.q
+    notes = [SPLICE_MARK + "family", 'x"' + SPLICE_MARK + "reference", f"see {SPLICE_MARK}family here"]
+    return [
+        replace(with_ref, certificate=replace(cert, sets=_one_code_off(cert.sets, q))),
+        replace(with_ref, certificate=replace(cert, reference_set=_one_code_off(cert.reference_set, q))),
+        replace(pairs, certificate=replace(pairs.certificate, sets=_one_code_off(pairs.certificate.sets, pairs.field.q))),
+        *(replace(c, plan=replace(c.plan, note=note)) for c in (with_ref, pairs) for note in notes),
+    ]
+
+
+def test_scan_lines_are_the_json_of_their_entries(tmp_path, capsys):
+    out = tmp_path / "cat.jsonl"
+    code, stdout, _ = run(capsys, "scan", "2", "400", "--certify-cap", "400")
+    assert code == 0
+    assert run(capsys, "scan", "2", "400", "--certify-cap", "400", "--out", str(out))[0] == 0
+    cons = list(iter_applicable(2, 400, certify_cap=400))
+    want = [blank_timestamp(json.dumps(construction_entry(c))) for c in cons]
+    assert [blank_timestamp(line) for line in stdout.splitlines()] == want
+    assert [blank_timestamp(line) for line in out.read_text().splitlines()] == want
+
+    uncertified = list(iter_applicable(300, 400, certify_cap=0))
+    assert uncertified and all(c.certificate is None for c in uncertified)
+    for con in uncertified + _hand_built(cons):
+        line = entry_line(con)
+        assert blank_timestamp(line) == blank_timestamp(json.dumps(construction_entry(con)))
+        assert Construction.from_json(json.loads(line)).to_json() == con.to_json()
+
+
+def test_scan_encodes_a_repeated_array_once(monkeypatch):
+    cons = list(iter_applicable(2, 400, certify_cap=400))
+    con = next(c for c in cons if c.plan.reference is not None)
+    encoded, dumps = [], json.dumps
+    monkeypatch.setattr(cycloskew.cli.json, "dumps", lambda obj: encoded.append(dumps(obj)) or encoded[-1])
+    line = entry_line(con)
+    family, reference = dumps(con.to_json()["family"]), dumps(con.to_json()["reference"])
+    assert [text for text in encoded if text in (family, reference)] == [family, reference]
+    assert line.count(family) == line.count(reference) == 2 and SPLICE_MARK not in line
+
+
+@pytest.mark.parametrize("target", ["missing/cat.jsonl", "directory"])
+def test_scan_out_unwritable_is_a_typed_error(tmp_path, capsys, target):
+    (tmp_path / "directory").mkdir()  # a file cannot be renamed over it
+    code, _, err = run(capsys, "scan", "13", "13", "--recipes", "R1", "--out", str(tmp_path / target))
+    assert code == 2
+    assert err.startswith(f"error: ParseError: cannot write catalog {tmp_path / target}: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["directory"]
+
+
+def test_cached_parser_keeps_no_state(capsys, monkeypatch):
+    cycloskew.cli.build_parser.cache_clear()
+    calls = []
+    monkeypatch.setattr(cycloskew.cli, "iter_applicable", lambda *a, **kw: calls.append((a, kw)) or iter(()))
+    assert run(capsys, "scan", "13", "30", "--recipes", "R7", "--certify-cap", "10")[0] == 0
+    assert run(capsys, "scan", "13", "30")[0] == 0
+    assert calls == [((13, 30, ["R7"]), {"certify_cap": 10}), ((13, 30, None), {"certify_cap": 5000})]
+
+    code, single, _ = run(capsys, "cycnum", "--p", "13", "--e", "4", "--brute-force")
+    assert code == 0 and "MATCH" not in single
+    code, compared, _ = run(capsys, "cycnum", "--p", "13", "--e", "4")
+    assert code == 0 and compared == single + "MATCH\n"
+
+    monkeypatch.setattr(cycloskew.cli, "cmd_scan", lambda args: 7)
+    assert run(capsys, "scan", "13", "30")[0] == 7
+    assert cycloskew.cli.build_parser.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(
