@@ -135,33 +135,29 @@ def construction_entry(con: Construction) -> dict:
 
 
 # stands in for an array an entry holds twice, so json.dumps encodes it once
-SPLICE_MARK = "cycloskew-spliced:"
+SPLICE_MARK = "cycloskew-spliced"
 
 
 def entry_line(con: Construction) -> str:
     """The catalog line of con: the bytes json.dumps(construction_entry(con))
     writes.  A certificate that repeats its plan's family as sets, or its
-    reference as reference_set, gets a placeholder in both places, and the
-    array's text, encoded once, is spliced over it.  Entries hold lists of
-    int codes, so lists that compare equal encode to the same text."""
+    reference as reference_set, gets SPLICE_MARK in both places, and each
+    '"<key>": "<SPLICE_MARK>"' is replaced by the key and the array's text,
+    encoded once.  json.dumps escapes every '"' inside a string, so that text
+    is found only where the key holds the mark.  Entries hold lists of int
+    codes, so lists that compare equal encode to the same text."""
     entry = construction_entry(con)
     cert = entry["certificate"]
-    repeats = () if cert is None else (("family", "sets"), ("reference", "reference_set"))
-    shared = []  # (key, certificate key, placeholder text, array)
-    for key, cert_key in repeats:
+    spliced = {}  # key -> text of the array it holds
+    for key, cert_key in () if cert is None else (("family", "sets"), ("reference", "reference_set")):
         value = entry[key]
         if value is not None and value == cert[cert_key]:
-            entry[key] = cert[cert_key] = SPLICE_MARK + key
-            shared.append((key, cert_key, json.dumps(SPLICE_MARK + key), value))
+            spliced[key] = spliced[cert_key] = json.dumps(value)
+            entry[key] = cert[cert_key] = SPLICE_MARK
     text = json.dumps(entry)
-    # a string elsewhere in the entry may hold a placeholder's text
-    if all(text.count(mark) == 2 for _, _, mark, _ in shared):
-        for _, _, mark, value in shared:
-            text = text.replace(mark, json.dumps(value))
-        return text
-    for key, cert_key, _, value in shared:
-        entry[key] = cert[cert_key] = value
-    return json.dumps(entry)
+    for key, array in spliced.items():
+        text = text.replace(f'"{key}": "{SPLICE_MARK}"', f'"{key}": {array}', 1)
+    return text
 
 
 def cmd_scan(args) -> int:

@@ -36,7 +36,6 @@ families with the classifiers alone.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 from math import isqrt
 from typing import Callable, Iterator
@@ -61,6 +60,7 @@ from .errors import (
     NoRepresentation,
     NotApplicable,
     NotPrimePower,
+    ParseError,
     PredictionMismatch,
     UnknownRecipe,
 )
@@ -88,13 +88,7 @@ class FieldFacts:
     b: int | None = None
 
 
-_FACTS_CACHE: "weakref.WeakKeyDictionary[Field, FieldFacts]" = weakref.WeakKeyDictionary()
-
-
 def field_facts(field: Field) -> FieldFacts:
-    cached = _FACTS_CACHE.get(field)
-    if cached is not None:
-        return cached
     q, p, m = field.q, field.p, field.m
     facts = FieldFacts(q, p, m)
     if q % 4 == 1:
@@ -104,7 +98,6 @@ def field_facts(field: Field) -> FieldFacts:
     if q % 8 == 1:
         table = cyclotomic_numbers_order8(field)
         facts.y, facts.b = table.reps["y"], table.reps["b"]
-    _FACTS_CACHE[field] = facts
     return facts
 
 
@@ -548,9 +541,13 @@ class Construction:
     @staticmethod
     def from_json(d: dict) -> "Construction":
         """Inverse of to_json.  ParseError when a value has the wrong JSON
-        type; KeyError, TypeError or AttributeError when d does not have
-        the shape of an entry."""
-        json_typed(d["q"], int, "q")  # not kept: the field spec gives q
+        type or q is not the order of the field; KeyError, TypeError or
+        AttributeError when d does not have the shape of an entry."""
+        spec = spec_from_json(d["field"])
+        q = json_typed(d["q"], int, "q")  # checked, not kept: the field spec gives q
+        # m first, as in build_field: for a huge m, p**m alone would stall
+        if not 1 <= spec.m <= 31 or spec.q != q:
+            raise ParseError(f"q is {q}, not the order of the field {spec.p}^{spec.m}")
         s = {k: json_typed(d[k], str, k) for k in ("recipe", "label", "mode", "predicted_kind", "note")}
         family = json_sets(d["family"], "family", "family set")
         ref = None if d["reference"] is None else json_codes(d["reference"], "reference")
@@ -558,7 +555,7 @@ class Construction:
         plan = Plan(s["label"], s["mode"], family, ref, s["predicted_kind"], params, s["note"])
         cert = None if d["certificate"] is None else Certificate.from_json(d["certificate"])
         flags = [json_typed(d[k], bool, k) for k in ("oracle_verified", "suspect")]
-        return Construction(s["recipe"], plan, spec_from_json(d["field"]), cert, *flags)
+        return Construction(s["recipe"], plan, spec, cert, *flags)
 
 
 def _match_problem(plan: Plan, cert: Certificate) -> str | None:
@@ -643,8 +640,9 @@ def iter_applicable(
         if not passed:
             continue
         field = build_field(p, m)
+        facts = field_facts(field)
         for recipe in passed:  # its precheck has passed, so Recipe.plans' guard is skipped
-            for plan in recipe.build(field, field_facts(field)):
+            for plan in recipe.build(field, facts):
                 yield (_certified(recipe.id, plan, field, recipe.suspect) if q <= certify_cap
                        else Construction(recipe.id, plan, field.spec, suspect=recipe.suspect))
 

@@ -571,20 +571,20 @@ class Certificate:
 
     @staticmethod
     def from_json(d: dict) -> "Certificate":
-        """Inverse of to_json.  ParseError when a value has the wrong JSON
-        type; KeyError, TypeError or AttributeError when d does not have
-        the shape of a certificate."""
-        pds_type_args, offset = d.get("pds_type_args"), d.get("translate_offset")
+        """Inverse of to_json, which writes every key read here.  ParseError
+        when a value has the wrong JSON type; KeyError, TypeError or
+        AttributeError when d does not have the shape of a certificate."""
+        pds_type_args, offset = d["pds_type_args"], d["translate_offset"]
         return Certificate(
             kind=json_typed(d["kind"], str, "kind"),
             field=spec_from_json(d["field"]),
             sets=json_sets(d["sets"], "sets", "set"),
             reference_set=None if d["reference_set"] is None else json_codes(d["reference_set"], "reference_set"),
             params=params_from_json(d["params"]),
-            pds_type=json_typed(d.get("pds_type"), (str, type(None)), "pds_type"),
+            pds_type=json_typed(d["pds_type"], (str, type(None)), "pds_type"),
             pds_type_args=None if pds_type_args is None else tuple(json_ints(pds_type_args, "pds_type_args")),
-            regular=json_typed(d.get("regular"), (bool, type(None)), "regular"),
-            trivial=json_typed(d.get("trivial", False), bool, "trivial"),
+            regular=json_typed(d["regular"], (bool, type(None)), "regular"),
+            trivial=json_typed(d["trivial"], bool, "trivial"),
             translate_offset=None if offset is None else json_typed(offset, int, "translate_offset"),
         )
 

@@ -243,7 +243,8 @@ def _hand_built(cons: list[Construction]) -> list[Construction]:
     with_ref = next(c for c in cons if c.plan.reference is not None)
     pairs = next(c for c in cons if isinstance(c.certificate.sets, np.ndarray))  # a 2-D family
     cert, q = with_ref.certificate, with_ref.field.q
-    notes = [SPLICE_MARK + "family", 'x"' + SPLICE_MARK + "reference", f"see {SPLICE_MARK}family here"]
+    notes = [SPLICE_MARK + "family", 'x"' + SPLICE_MARK + "reference", f"see {SPLICE_MARK}family here",
+             f'"family": "{SPLICE_MARK}"', f'"sets": "{SPLICE_MARK}"']
     return [
         replace(with_ref, certificate=replace(cert, sets=_one_code_off(cert.sets, q))),
         replace(with_ref, certificate=replace(cert, reference_set=_one_code_off(cert.reference_set, q))),
@@ -479,10 +480,16 @@ def test_catalog_rejects_non_integer_numbers(tmp_path, capsys):
         lambda e: e.update(suspect=0),
         lambda e: e.update(note=None),
         lambda e: e["certificate"].update(kind=5),
+        # a certificate holds every key to_json writes, and q is the order of the field
+        lambda e: e["certificate"].pop("trivial"),
+        lambda e: e["certificate"].pop("regular"),
+        lambda e: e.update(q=17),
+        lambda e: e.update(certificate=None) or e["field"].update(m=10**9),  # 13**m alone would stall
     ],
 )
 def test_catalog_rejects_wrong_value_types(tmp_path, capsys, edit):
-    # hand edits of the entry that parse as JSON but hold a value of the wrong type
+    # hand edits of the entry that parse as JSON but hold a value of the wrong
+    # type, or a shape scan never writes
     entry = json.loads(run(capsys, "scan", "13", "13", "--recipes", "R1")[1])
     edit(entry)
     catalog = tmp_path / "cat.jsonl"

@@ -346,7 +346,7 @@ def _error(call):
     [("float", InvalidElementCode), ("high", IndexOutOfRange), ("repeat", DuplicateElement),
      ("zero", ContainsZero), ("shared", NotDisjoint)],
 )
-def test_combinators_reject_set_defects_as_check_family(gf13, defect, expect):
+def test_check_family_rejects_set_defects(gf13, defect, expect):
     fam = [[1, 2], [3, 6], [5, 9]]  # a DPDF relative to the squares
     assert _error(lambda: check_family(gf13, _with_defect(fam, defect), "internal")) is expect
 
