@@ -39,9 +39,10 @@ from .constructions import (
     iter_applicable,
     recheck,
     registry,
+    same_sets,
 )
 from .cyclotomy import bruteforce_table, closed_form_table
-from .diffsets import SET_MODES, certify
+from .diffsets import SET_MODES, certify, sets_json
 from .errors import BoundTooLarge, CycloskewError, ParseError
 from .field import build_field
 from .numtheory import is_prime_power, prime_power_decompose, two_squares_rep
@@ -127,8 +128,8 @@ def cmd_tables(args) -> int:
 # ---- scan ----
 
 
-def construction_entry(con: Construction) -> dict:
-    entry = con.to_json()
+def construction_entry(con: Construction, spliced=(), mark: str | None = None) -> dict:
+    entry = con.to_json(spliced, mark)
     entry["version"] = __version__
     entry["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     return entry
@@ -141,20 +142,19 @@ SPLICE_MARK = "cycloskew-spliced"
 def entry_line(con: Construction) -> str:
     """The catalog line of con: the bytes json.dumps(construction_entry(con))
     writes.  A certificate that repeats its plan's family as sets, or its
-    reference as reference_set, gets SPLICE_MARK in both places, and each
-    '"<key>": "<SPLICE_MARK>"' is replaced by the key and the array's text,
-    encoded once.  json.dumps escapes every '"' inside a string, so that text
-    is found only where the key holds the mark.  Entries hold lists of int
-    codes, so lists that compare equal encode to the same text."""
-    entry = construction_entry(con)
-    cert = entry["certificate"]
+    reference as reference_set (compared as arrays), gets SPLICE_MARK in
+    both places, and each '"<key>": "<SPLICE_MARK>"' is replaced by the key
+    and the array's text, listed and encoded once.  json.dumps escapes
+    every '"' inside a string, so that text is found only where the key
+    holds the mark.  Equal int64 arrays list to the same text."""
+    plan, cert = con.plan, con.certificate
     spliced = {}  # key -> text of the array it holds
-    for key, cert_key in () if cert is None else (("family", "sets"), ("reference", "reference_set")):
-        value = entry[key]
-        if value is not None and value == cert[cert_key]:
-            spliced[key] = spliced[cert_key] = json.dumps(value)
-            entry[key] = cert[cert_key] = SPLICE_MARK
-    text = json.dumps(entry)
+    if cert is not None and same_sets(plan.family, cert.sets):
+        spliced["family"] = spliced["sets"] = json.dumps(sets_json(plan.family))
+    ref = None if cert is None or cert.reference_set is None else plan.reference
+    if ref is not None and np.array_equal(ref, cert.reference_set):
+        spliced["reference"] = spliced["reference_set"] = json.dumps(ref.tolist())
+    text = json.dumps(construction_entry(con, spliced, SPLICE_MARK))
     for key, array in spliced.items():
         text = text.replace(f'"{key}": "{SPLICE_MARK}"', f'"{key}": {array}', 1)
     return text

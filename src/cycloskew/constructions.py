@@ -74,31 +74,43 @@ from .numtheory import (
 )
 
 
-@dataclass
 class FieldFacts:
-    """Derived representation data for one field and generator choice."""
+    """Derived representation data for one field and generator choice.
+    Each fact is computed the first time it is read: t, x and a when
+    q = 1 (mod 4), the calibrated signs y and b (from the order-8
+    cyclotomic numbers) when q = 1 (mod 8), else None.  A recipe whose
+    predictions read only q, such as R8-R10, computes none."""
 
-    q: int
-    p: int
-    m: int
-    t: int | None = None
-    x: int | None = None
-    a: int | None = None
-    y: int | None = None  # calibrated sign, q = 1 mod 8 only
-    b: int | None = None
+    def __init__(self, field: Field):
+        self.field, self.q, self.p, self.m = field, field.q, field.p, field.m
+
+    @functools.cached_property
+    def t(self) -> int | None:
+        return two_squares_rep(self.field).t if self.q % 4 == 1 else None
+
+    @functools.cached_property
+    def x(self) -> int | None:
+        return x2_4y2_rep(self.q, self.p, self.m).x if self.q % 4 == 1 else None
+
+    @functools.cached_property
+    def a(self) -> int | None:
+        return _a_value(self.q, self.p, self.m) if self.q % 4 == 1 else None
+
+    @functools.cached_property
+    def _order8(self) -> dict:
+        return cyclotomic_numbers_order8(self.field).reps if self.q % 8 == 1 else {"y": None, "b": None}
+
+    @property
+    def y(self) -> int | None:
+        return self._order8["y"]
+
+    @property
+    def b(self) -> int | None:
+        return self._order8["b"]
 
 
 def field_facts(field: Field) -> FieldFacts:
-    q, p, m = field.q, field.p, field.m
-    facts = FieldFacts(q, p, m)
-    if q % 4 == 1:
-        facts.t = two_squares_rep(field).t
-        facts.x = x2_4y2_rep(q, p, m).x
-        facts.a = _a_value(q, p, m)
-    if q % 8 == 1:
-        table = cyclotomic_numbers_order8(field)
-        facts.y, facts.b = table.reps["y"], table.reps["b"]
-    return facts
+    return FieldFacts(field)
 
 
 @dataclass(frozen=True, eq=False)
@@ -521,20 +533,23 @@ class Construction:
     oracle_verified: bool = False
     suspect: bool = False
 
-    def to_json(self) -> dict:
+    def to_json(self, spliced=(), mark: str | None = None) -> dict:
+        """The entry as JSON values; an array whose key (the certificate's
+        included) is in spliced is not listed but written as mark."""
         return {
             "q": self.field.q,
             "recipe": self.recipe_id,
             "label": self.plan.label,
             "field": self.field.as_dict(),
             "mode": self.plan.mode,
-            "family": sets_json(self.plan.family),
-            "reference": None if self.plan.reference is None else self.plan.reference.tolist(),
+            "family": mark if "family" in spliced else sets_json(self.plan.family),
+            "reference": None if self.plan.reference is None
+            else mark if "reference" in spliced else self.plan.reference.tolist(),
             "predicted_kind": self.plan.kind,
             "predicted_params": dict(self.plan.params),
             "suspect": self.suspect,
             "note": self.plan.note,
-            "certificate": None if self.certificate is None else self.certificate.to_json(),
+            "certificate": None if self.certificate is None else self.certificate.to_json(spliced, mark),
             "oracle_verified": self.oracle_verified,
         }
 
@@ -584,6 +599,14 @@ def _certified(recipe_id: str, plan: Plan, field: Field, suspect: bool = False) 
     return Construction(recipe_id, plan, field.spec, cert, True, suspect)
 
 
+def same_sets(family, sets) -> bool:
+    """Whether two families, each a 2-D array or a sequence of arrays, hold
+    the same sets in the same order, compared as arrays, shapes first."""
+    if isinstance(family, np.ndarray) and isinstance(sets, np.ndarray):
+        return np.array_equal(sets, family)
+    return len(sets) == len(family) and all(map(np.array_equal, sets, family))
+
+
 def recheck(con: Construction, field: Field) -> list[str]:
     """Why a construction read back from a catalog no longer holds: its
     certificate must be over its field, hold its family, recompute from
@@ -595,12 +618,7 @@ def recheck(con: Construction, field: Field) -> list[str]:
     problems = []
     if cert.field != fs:
         problems.append("field differs from the certificate's")
-    family, sets = con.plan.family, cert.sets
-    if isinstance(family, np.ndarray) and isinstance(sets, np.ndarray):
-        same = np.array_equal(sets, family)
-    else:
-        same = len(sets) == len(family) and all(map(np.array_equal, sets, family))
-    if not same:
+    if not same_sets(con.plan.family, cert.sets):
         problems.append("family differs from the certificate's sets")
     if not verify_certificate(field, cert):
         problems.append("certificate does not recompute from its sets")

@@ -1,38 +1,20 @@
 """Difference multisets and the certification layer.
 
-A difference multiset is a length-q integer count vector indexed by
-element code.  Every classifier below recomputes counts from scratch
-through one entry, diff_counts, which picks the method per set:
+A difference multiset is a profile: a length-q integer count vector
+indexed by element code, or the compact list [count at 0, vals] of one
+that is constant on the classes C_c of order s = len(vals).  Every
+classifier recomputes counts from scratch through diff_counts, which
+picks a pair count, an orbit count (compact) or a guarded transform sum
+per set.  Nothing is inferred from formulas, so a certificate is an
+independent witness.
 
-* inputs of at most q pairs are counted pair by pair;
-* two sets that are unions of cyclotomic classes of one order s up to
-  ceil(log2 q), 0 aside, are counted by orbit: multiplication by g^s
-  fixes both, so the counts are constant on each class of order s and s
-  direct counts |X & (Y + g^c)| plus |X & Y| at 0 give all of them.
-  The guard is exact: every class the logs of a set hit mod s must be hit
-  (q - 1)/s times;
-* any other set goes to a transform of indicator vectors over the
-  additive group (Z_p)^m, picked by (p, m) alone and guarded.  Transforms
-  are linear, so the sets of one profile are transformed once each,
-  their products summed in the spectrum and inverted once; Ext's union
-  is the sum of its sets' spectra.  A sum that fails its guard is
-  counted set by set, and a set whose own transform fails it pair by
-  pair.  A prime field's is a float64 FFT correlation zero-padded to the
-  smallest c 2^k >= 2q - 1 with c in {1, 3, 5}, folded; for m >= 2 it is
-  a float64 product of each block axis (at most 32 points) with its
-  character matrix when p <= 5, and an FFT on the (p,)*m grid when
-  p >= 7; rounded.  With |D| = (q - 1)/2 one Delta(D) takes about 0.7 ms
-  at q = 20011 and 0.13 ms at q = 2^14 (one core).
-
-Nothing is inferred from formulas, so a certificate is an independent
-witness.
-
-Every PDS and family kind is read off one two-valued profile by _split:
-lambda on a reference set, mu on the rest of G*.  A profile's values are
-tested by min and max, never by np.unique, which hashes every entry and
-imports numpy.ma on its first call.  certify is the one dispatch from a
-mode (pds, skew, ads, internal, external) to its check, and
-verify_certificate maps each kind to its mode.
+Every PDS and family kind is read off one two-valued profile by _split,
+in class space when it is compact: lambda on a reference set, mu on the
+rest of G*.  Only the public counting functions, and sums of both forms,
+spread a compact profile to length q.  Values are tested by min and max,
+never by np.unique, which hashes every entry and imports numpy.ma on its
+first call.  certify is the one dispatch from a mode (pds, skew, ads,
+internal, external) to its check.
 
 Certificate kinds: PDS, SkewPDS, TrivialSkewPDS, ADS, DDF, EDF, DPDF,
 EPDF, RelativeDPDF, RelativeEPDF, or None on failure.  All counts are
@@ -44,11 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cache
 from itertools import chain
-from math import expm1, isqrt, log, log1p, log2, sqrt
+from math import expm1, isqrt, lcm, log, log1p, log2, sqrt
 
 import numpy as np
 from numpy.fft import irfftn, rfftn
 
+from .cyclotomy import class_union
 from .errors import (
     ContainsZero,
     DuplicateElement,
@@ -81,16 +64,19 @@ def as_element_set(field: Field, codes) -> np.ndarray:
 
 
 def _sorted_rows(field: Field, raw: np.ndarray) -> np.ndarray:
-    """An int64 copy of the 2-D array raw with each row sorted: a
-    non-integer dtype raises first, then a code out of range, then a code
-    repeated within a row."""
+    """The 2-D array raw as int64 with each row sorted: raw itself when it
+    is int64 and each row strictly increasing, else a sorted copy (the
+    caller's array is never sorted).  A non-integer dtype raises first,
+    then a code out of range, then a code repeated within a row."""
     if raw.dtype.kind not in "iu" and raw.size:
         raise InvalidElementCode("element codes must be integers, not bool, float, str or nested")
-    rows = raw.astype(np.int64)  # a copy: the caller's array is never sorted
-    rows.sort(axis=1)
+    rows = raw
+    if raw.dtype != np.int64 or np.count_nonzero(raw[:, 1:] <= raw[:, :-1]):
+        rows = raw.astype(np.int64)
+        rows.sort(axis=1)
     if rows.size and (rows[:, 0].min() < 0 or rows[:, -1].max() >= field.q):
         raise IndexOutOfRange(f"element code out of range [0, {field.q})")
-    if np.count_nonzero(rows[:, 1:] == rows[:, :-1]):
+    if rows is not raw and np.count_nonzero(rows[:, 1:] == rows[:, :-1]):  # raw increases strictly
         raise DuplicateElement("set contains a repeated element")
     return rows
 
@@ -246,10 +232,18 @@ def _power(f: np.ndarray) -> np.ndarray:
     return re
 
 
-def _add(total: np.ndarray | None, part: np.ndarray) -> np.ndarray:
-    """total + part, summed into total; a first part is the total, not a
-    copy, which would add 8 bytes per code to a one-row count's peak."""
-    return part if total is None else np.add(total, part, out=total)
+def _add(field: Field, total, part, sign: int = 1):
+    """total + sign * part; a first part is the total, not an 8 B/code copy.
+    Two compact profiles add in class space at order lcm(s, s'), whose C_c
+    lies in C_(c mod s); otherwise both are spread and part summed in."""
+    if total is None:
+        return part
+    if isinstance(total, list) and isinstance(part, list):
+        n = lcm(len(total[1]), len(part[1]))
+        tiled = [np.tile(vals, n // len(vals)) for _, vals in (total, part)]
+        return [total[0] + sign * part[0], tiled[0] + sign * tiled[1]]
+    total = _spread(field, total)
+    return (np.add if sign > 0 else np.subtract)(total, _spread(field, part), out=total)
 
 
 def _summed_spectrum(field: Field, rows: list, union: np.ndarray | None, shape: tuple) -> np.ndarray:
@@ -285,7 +279,7 @@ def _summed_spectrum(field: Field, rows: list, union: np.ndarray | None, shape: 
         return acc
     if len(union) > sum(len(x) for x, _ in rows):
         rest = np.setdiff1d(union, np.concatenate([x for x, _ in rows]), assume_unique=True) if rows else union
-        whole = _add(whole, forward(rest))
+        whole = _add(field, whole, forward(rest))
     spec = _power(whole)
     if acc is not None:
         spec -= acc
@@ -382,14 +376,13 @@ def _orbit_order(field: Field, X: np.ndarray, Y: np.ndarray) -> int | None:
     return None
 
 
-def _orbit_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray | None:
-    """Delta(X, Y) with zero hits, for sorted sets that are unions of
-    classes of order s (0 aside, s from _orbit_order), or None when they
-    are not.  Multiplication by g^s fixes both sets and so the counts,
-    which are therefore constant on each class C_c: the value there is
-    |X & (Y + g^c)|, counted directly for c < s as the overlap of the mask
-    of X with the mask of Y rolled by the digits of g^c on the (p,)*m grid
-    of codes, and the value at 0 is |X & Y|."""
+def _orbit_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> list | None:
+    """Delta(X, Y) with zero hits as the compact profile [|X & Y|, vals]
+    for sorted sets that are unions of classes of order s (0 aside, s from
+    _orbit_order), else None.  Multiplication by g^s fixes both sets, so
+    the counts are constant on each class C_c: vals[c] = |X & (Y + g^c)|,
+    the overlap of the mask of X with the mask of Y rolled by the digits
+    of g^c on the (p,)*m grid of codes."""
     s = _orbit_order(field, X, Y)
     if s is None:
         return None
@@ -405,11 +398,20 @@ def _orbit_counts(field: Field, X: np.ndarray, Y: np.ndarray) -> np.ndarray | No
     overlap = len(X) if Y is X else np.count_nonzero(in_x & in_y)
     if overlap + int(vals.sum()) * (field.q - 1) // s != len(X) * len(Y):
         return None
+    return [overlap, vals]
+
+
+def _spread(field: Field, prof) -> np.ndarray:
+    """prof as a length-q vector: from [zero, vals], code 0 takes zero and
+    code z the value of its class, vals[log z mod s]."""
+    if not isinstance(prof, list):
+        return prof
+    zero, vals = prof
     counts = np.empty(field.q, dtype=np.int64)
-    counts[0] = overlap
-    for lo in range(1, field.q, _CHUNK):  # code z takes the value of its class, log z mod s
+    counts[0] = zero
+    for lo in range(1, field.q, _CHUNK):
         # the indices are in range; mode "raise" would copy through a buffer
-        np.take(vals, field.log[lo : lo + _CHUNK] % s, out=counts[lo : lo + _CHUNK], mode="wrap")
+        np.take(vals, field.log[lo : lo + _CHUNK] % len(vals), out=counts[lo : lo + _CHUNK], mode="wrap")
     return counts
 
 
@@ -433,7 +435,8 @@ def diff_counts(field: Field, pairs: list, union: np.ndarray | None = None) -> n
     joins the sum, which then needs no transform of it.  When the sum is
     not trusted, each of its terms, rows and union, is counted on its own:
     by transform when the sum had more than one term, and pair by pair
-    when that is not trusted either."""
+    when that is not trusted either.  The result is compact when every
+    term was an orbit count, else a length-q vector (see _add)."""
     q = field.q
     whole = counts = None
     if union is not None:
@@ -442,7 +445,7 @@ def diff_counts(field: Field, pairs: list, union: np.ndarray | None = None) -> n
     rows = []
     for X, Y in pairs:
         if len(X) == 0 or X.shape[1] * Y.shape[1] <= q:
-            counts = _add(counts, _pair_counts(field, X, Y))
+            counts = _add(field, counts, _pair_counts(field, X, Y))
             continue
         for i, x in enumerate(X):
             y = x if Y is X else Y[i]
@@ -450,39 +453,39 @@ def diff_counts(field: Field, pairs: list, union: np.ndarray | None = None) -> n
             if row is None:
                 rows.append((x, y))
             else:
-                counts = _add(counts, row)
+                counts = _add(field, counts, row)
     summed_union = union if union is not None and whole is None else None
     if rows or summed_union is not None:
         summed = _transform_counts(field, rows, summed_union)
         if summed is None:
             several = len(rows) + (summed_union is not None) > 1
             for x, y in rows:
-                counts = _add(counts, _row_counts(field, x, y, several))
+                counts = _add(field, counts, _row_counts(field, x, y, several))
             if summed_union is not None:
                 whole = _row_counts(field, union, union, several)
         elif summed_union is not None:
             whole = summed  # the transformed rows are subtracted already
         else:
-            counts = _add(counts, summed)
-    if union is None:
-        return counts
-    return whole if counts is None else np.subtract(whole, counts, out=whole)
+            counts = _add(field, counts, summed)
+    if union is None or counts is None:
+        return counts if union is None else whole
+    return _add(field, whole, counts, -1)
 
 
 def internal_differences(field: Field, D) -> np.ndarray:
     """Delta(D): counts of x - y over distinct x, y in D."""
-    return _delta(field, as_element_set(field, D))
+    return _spread(field, _delta(field, as_element_set(field, D)))
 
 
-def _delta(field: Field, d: np.ndarray) -> np.ndarray:
-    """Delta(d) of a set that is already sorted, distinct and in range."""
+def _delta(field: Field, d: np.ndarray):
+    """Delta(d), a profile, of a sorted, distinct, in-range set."""
     return _family_profile(field, d[None], d, "internal")
 
 
 def cross_differences(field: Field, D1, D2) -> np.ndarray:
     """Delta(D1, D2): counts of x - y over x in D1, y in D2.  Zero hits are
     included; callers working with disjoint sets never see any."""
-    return diff_counts(field, [(as_element_set(field, D1)[None], as_element_set(field, D2)[None])])
+    return _spread(field, diff_counts(field, [(as_element_set(field, D1)[None], as_element_set(field, D2)[None])]))
 
 
 def _validated_family(field: Field, family) -> tuple[np.ndarray | tuple[np.ndarray, ...], np.ndarray]:
@@ -505,30 +508,29 @@ def _validated_family(field: Field, family) -> tuple[np.ndarray | tuple[np.ndarr
     return fam, union
 
 
-def _family_profile(field: Field, fam: np.ndarray | tuple[np.ndarray, ...], union: np.ndarray,
-                    mode: str) -> np.ndarray:
-    """Int or Ext of a validated family in one diff_counts call, over one
-    stack of equal-size sets per size: a 2-D family is one stack, the
-    empty family the empty row of its union.  Ext is Delta(union) minus
-    the sum of Delta(D_i): the zero hits cancel."""
+def _family_profile(field: Field, fam: np.ndarray | tuple[np.ndarray, ...], union: np.ndarray, mode: str):
+    """Int or Ext, a profile, of a validated family in one diff_counts
+    call, over one stack of equal-size sets per size: a 2-D family is one
+    stack, the empty family the empty row of its union.  Ext is
+    Delta(union) minus the sum of Delta(D_i): the zero hits cancel."""
     if isinstance(fam, np.ndarray):
         stacks = [fam]
     else:
         stacks = [np.stack([s for s in fam if len(s) == k]) for k in {*map(len, fam)}] or [union[None]]
     counts = diff_counts(field, [(X, X) for X in stacks], union if mode == "external" else None)
     if mode == "internal":
-        counts[0] = 0
+        counts[0] = 0  # the count at 0 of either form
     return counts
 
 
 def family_internal(field: Field, family) -> np.ndarray:
     """Int: the sum of the internal difference multisets of the family."""
-    return _family_profile(field, *_validated_family(field, family), "internal")
+    return _spread(field, _family_profile(field, *_validated_family(field, family), "internal"))
 
 
 def family_external(field: Field, family) -> np.ndarray:
     """Ext: the sum of Delta(D_i, D_j) over ordered pairs i != j."""
-    return _family_profile(field, *_validated_family(field, family), "external")
+    return _spread(field, _family_profile(field, *_validated_family(field, family), "external"))
 
 
 # ---- certificates ----
@@ -555,12 +557,14 @@ class Certificate:
     def ok(self) -> bool:
         return self.kind != "None"
 
-    def to_json(self) -> dict:
+    def to_json(self, spliced=(), mark: str | None = None) -> dict:
+        """JSON values; an array whose key is in spliced is written as mark."""
         return {
             "kind": self.kind,
             "field": self.field.as_dict(),
-            "sets": sets_json(self.sets),
-            "reference_set": None if self.reference_set is None else self.reference_set.tolist(),
+            "sets": mark if "sets" in spliced else sets_json(self.sets),
+            "reference_set": None if self.reference_set is None
+            else mark if "reference_set" in spliced else self.reference_set.tolist(),
             "params": dict(self.params),
             "pds_type": self.pds_type,
             "pds_type_args": None if self.pds_type_args is None else list(self.pds_type_args),
@@ -657,14 +661,30 @@ def _levels(vals: np.ndarray) -> tuple[int, ...] | None:
     return (lo, hi) if np.count_nonzero(vals == lo) + np.count_nonzero(vals == hi) == len(vals) else None
 
 
-def _split(field: Field, prof: np.ndarray, inside: np.ndarray) -> tuple[int, int] | None:
+def _nonzero(prof) -> np.ndarray:
+    """A profile's values on G*: its class values, or a vector's prof[1:]."""
+    return prof[1] if isinstance(prof, list) else prof[1:]
+
+
+def _support(field: Field, prof, v: int) -> np.ndarray:
+    """The sorted nonzero codes where prof is v: whole classes if compact."""
+    idx = np.flatnonzero(_nonzero(prof) == v)
+    return class_union(field, len(prof[1]), idx) if isinstance(prof, list) else np.add(idx, 1, out=idx)
+
+
+def _split(field: Field, prof, inside: np.ndarray) -> tuple[int, int] | None:
     """(lambda, mu): the single value of prof on inside minus 0, and the
     single value on the rest of G*.  A side with no elements takes the
-    other side's value; None when either side holds more than one value."""
-    rest = np.ones(field.q, dtype=bool)
-    rest[inside] = False
-    rest[0] = False
-    sides = [v for v in (prof[inside[inside != 0]], prof[rest]) if len(v)]
+    other side's value; None when either side holds more than one value.
+    Read per class (per code of a vector): a class is inside when inside
+    holds one of its codes, and on the rest when inside misses one."""
+    vals, inside = _nonzero(prof), inside[inside != 0]
+    if isinstance(prof, list):
+        hits = np.bincount(field.log[inside] % len(vals), minlength=len(vals))
+    else:  # one byte per code, not a count's eight
+        hits = np.zeros(len(vals), dtype=np.uint8)
+        hits[inside - 1] = 1
+    sides = [v for v in (vals[hits > 0], vals[hits < (field.q - 1) // len(vals)]) if len(v)]
     if any(v.min() != v.max() for v in sides):
         return None
     return int(sides[0][0]), int(sides[-1][0])
@@ -690,10 +710,6 @@ def family_params(q: int, family, lam: int, mu: int | None = None) -> dict:
     return params
 
 
-def _is_symmetric(field: Field, A: np.ndarray) -> bool:
-    return np.array_equal(np.sort(field.neg_codes(A)), A)
-
-
 def _pds_type(v: int, k: int, lam: int, mu: int, regular: bool):
     if lam != mu and regular and v % 4 == 1 and (k, lam, mu) == ((v - 1) // 2, (v - 5) // 4, (v - 1) // 4):
         return "Paley", None
@@ -716,7 +732,7 @@ def _pds_certificate(field: Field, kind: str, d: np.ndarray, ref: np.ndarray, la
                      offset: int | None = None) -> Certificate:
     """Certificate of the set d whose profile is that of the PDS ref, with
     the regularity and the parameter type of ref."""
-    regular = bool(0 not in ref and _is_symmetric(field, ref))
+    regular = bool(0 not in ref and np.array_equal(np.sort(field.neg_codes(ref)), ref))
     ptype, pargs = _pds_type(field.q, len(ref), lam, mu, regular)
     params = {"v": field.q, "k": len(d), "lambda": lam, "mu": mu}
     return Certificate(kind, field.spec, (d,), ref, params, pds_type=ptype, pds_type_args=pargs,
@@ -735,7 +751,8 @@ def check_pds(field: Field, A) -> Certificate:
 def _translate_offset(field: Field, D: np.ndarray, A: np.ndarray) -> int | None:
     """Offset a with D == a + A, or None, for sets of one size |A| > 0.  When
     p does not divide |A| the candidate is pinned by the field sums;
-    otherwise every d - A[0] is tried."""
+    otherwise every d - A[0] is tried.  A candidate must first map the
+    first 8 codes of A into D, a test most wrong offsets fail."""
     kmod = len(A) % field.p
     if kmod:
         diff = field.sub(field.sum_codes(D), field.sum_codes(A))
@@ -743,7 +760,9 @@ def _translate_offset(field: Field, D: np.ndarray, A: np.ndarray) -> int | None:
     else:
         cands = field.sub_codes(D, A[0])
     for cand in cands:
-        if np.array_equal(np.sort(field.add_codes(A, cand)), D):
+        head = field.add_codes(A[:8], cand)
+        if np.array_equal(D.take(np.searchsorted(D, head), mode="clip"), head) and np.array_equal(
+                np.sort(field.add_codes(A, cand)), D):
             return int(cand)
     return None
 
@@ -755,15 +774,17 @@ def check_skew_pds(field: Field, D) -> Certificate:
     without 0 adjoined)."""
     d = as_element_set(field, D)
     prof = _delta(field, d)
-    vals = _levels(prof[1:])
+    vals = _levels(_nonzero(prof))
     if vals is None or len(vals) != 2:
         return Certificate("None", field.spec, (d,), None)
     for lam, mu in (vals, vals[::-1]):
-        cand = np.flatnonzero(prof[1:] == lam)
-        cand += 1
+        cand = _support(field, prof, lam)
         if len(cand) + 1 == len(d):  # 0 sorts first
             cand = np.concatenate(([0], cand))
-        if len(cand) != len(d) or not np.array_equal(_delta(field, cand), prof):
+        if len(cand) != len(d):
+            continue
+        left = _add(field, _delta(field, cand), prof, -1)  # in class space when both are compact
+        if left[0] or _nonzero(left).any():
             continue
         offset = _translate_offset(field, d, cand)
         kind = "SkewPDS" if offset is None else "TrivialSkewPDS"
@@ -784,8 +805,8 @@ def check_family(field: Field, family, mode: str, reference=None) -> Certificate
         raise UnknownMode(f"unknown family mode {mode!r}")
     fam, union = _validated_family(field, family)
     prof = _family_profile(field, fam, union, mode)
-    vals = _levels(prof[1:])
-    if prof.sum() == 0 or vals is None:
+    vals = _levels(_nonzero(prof))
+    if vals in (None, (0,)):  # the count at 0 is 0 in both modes
         return Certificate("None", field.spec, fam, None)
     if len(vals) == 1:
         kind = "DDF" if mode == "internal" else "EDF"
@@ -808,19 +829,12 @@ def check_ads(field: Field, D) -> Certificate:
     some t-subset and lambda + 1 elsewhere."""
     d = as_element_set(field, D)
     prof = _delta(field, d)
-    vals = _levels(prof[1:])
+    vals = _levels(_nonzero(prof))
     if vals is None or vals[-1] > vals[0] + 1:
         return Certificate("None", field.spec, (d,), None)
     lam = vals[0]
-    t_set = np.flatnonzero(prof[1:] == lam)
-    t_set += 1
-    return Certificate(
-        "ADS",
-        field.spec,
-        (d,),
-        t_set,
-        {"v": field.q, "k": len(d), "lambda": lam, "t": len(t_set)},
-    )
+    t_set = _support(field, prof, lam)
+    return Certificate("ADS", field.spec, (d,), t_set, {"v": field.q, "k": len(d), "lambda": lam, "t": len(t_set)})
 
 
 def certify(field: Field, mode: str, sets, reference=None) -> Certificate:

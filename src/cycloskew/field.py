@@ -9,8 +9,10 @@ exactly the codes below p.
 
 Multiplication, inversion, powers and discrete logs go through the
 exp/log tables (O(1) per operation); addition works digit-wise on the
-codes, and is XOR on arrays of codes when p = 2.  Both tables are int32
-(q <= MAX_ORDER = 2^31), 8 bytes per code.
+codes, and is XOR on arrays of codes when p = 2.  Both tables are int32,
+8 bytes per code.  A field of order above MAX_ORDER = 10^8, the largest
+whose memory use is bounded and known, is refused with FieldTooLarge
+before its polynomial is searched or any table allocated.
 
 The default polynomial is the lexicographically smallest monic primitive
 one.  Its search skips every constant term whose norm (-1)^m f(0) is not
@@ -39,7 +41,7 @@ from .errors import (
     ZeroHasNoLog,
 )
 
-MAX_ORDER = 2**31
+MAX_ORDER = 10**8  # 800 MB of tables
 
 
 def is_prime(n: int) -> bool:
@@ -401,7 +403,7 @@ def build_field(
     if m < 1:
         raise NotPrimitivePolynomial("extension degree must be >= 1")
     if m > 31 or p**m > MAX_ORDER:  # m first: for a huge m, p**m alone would stall
-        raise FieldTooLarge(f"q = {p}^{m} exceeds 2^31")
+        raise FieldTooLarge(f"q = {p}^{m} exceeds {MAX_ORDER}")
     q = p**m
 
     if poly is None and m == 1 and generator is not None:

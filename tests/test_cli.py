@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import cycloskew.cli
 import cycloskew.constructions
+import cycloskew.field
 from cycloskew import errors
 from cycloskew.cli import SPLICE_MARK, construction_entry, entry_line, main, table1_rows, table2_rows
 from cycloskew.constructions import Construction, iter_applicable
@@ -127,6 +128,21 @@ def test_verify_parse_error(capsys):
     )
     assert code == 2
     assert "ParseError" in err
+
+
+@pytest.mark.parametrize("field_args", [["--p", "2147483647"], ["--p", "2", "--m", "30"], ["--p", "10007", "--m", "2"]])
+def test_verify_refuses_a_field_above_the_order_bound(monkeypatch, capsys, field_args):
+    # q = 2^31 - 1 once asked numpy for 8 GiB of tables, and GF(2^30) sat in
+    # the table build for minutes; both, and the first square above 10^8,
+    # exit 2 before any polynomial search or table
+    def never(*args):
+        raise AssertionError("a refused field was searched or allocated")
+
+    monkeypatch.setattr(cycloskew.field, "default_poly", never)
+    monkeypatch.setattr(cycloskew.field, "_build_tables", never)
+    code, _, err = run(capsys, "verify", *field_args, "--sets", "[[1]]", "--mode", "pds")
+    assert code == 2
+    assert "FieldTooLarge" in err and str(10**8) in err
 
 
 def test_cycnum_compare(capsys):

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import cycloskew.constructions
 from cycloskew import (
     apply,
     build_field,
@@ -13,9 +14,12 @@ from cycloskew import (
     class_of,
     class_union,
     classes,
+    cyclotomic_numbers_order8,
     get_recipe,
     iter_applicable,
     registry,
+    two_squares_rep,
+    x2_4y2_rep,
 )
 from cycloskew.constructions import (
     Plan,
@@ -387,3 +391,22 @@ def test_enumerate_certified_deterministic():
     a = list(iter_applicable(5, 120, certify_cap=120))
     b = list(iter_applicable(5, 120, certify_cap=120))
     assert [c.to_json() for c in a] == [c.to_json() for c in b]
+
+
+def test_facts_are_computed_on_first_use(monkeypatch):
+    # R8-R10 predict from q alone, so applying R10 computes no fact; a
+    # fact read later is the one the eager facts held
+    field = build_field(83, 2)
+    facts = field_facts(field)
+
+    def never(*args):
+        raise AssertionError("a fact was computed")
+
+    for name in ("two_squares_rep", "x2_4y2_rep", "a2_2b2_rep", "cyclotomic_numbers_order8"):
+        monkeypatch.setattr(cycloskew.constructions, name, never)
+    (con,) = apply(get_recipe("R10"), field)
+    assert con.certificate.kind == "SkewPDS"
+    monkeypatch.undo()
+    reps = cyclotomic_numbers_order8(field).reps
+    assert (facts.t, facts.x, facts.y, facts.b) == (two_squares_rep(field).t, x2_4y2_rep(83**2, 83, 2).x,
+                                                    reps["y"], reps["b"])

@@ -567,6 +567,108 @@ def test_r10_certifies_by_two_orbit_counts(monkeypatch):
     assert seen == [("_orbit_counts", True)] * 2
 
 
+@pytest.mark.parametrize("p, m", ORBIT_FIELDS)
+@given(data=st.data())
+@settings(max_examples=15)
+def test_compact_profile_spreads_to_naive_pair_count(p, m, data):
+    # the orbit count is compact in class space, and so is the sum of two
+    # of different orders (a family's Int and Ext); spread, each is the
+    # naive pair count
+    f = _diff_field(p, m)
+    X, Y = data.draw(class_union_set(f)), data.draw(class_union_set(f))
+    if len(X) and len(Y):
+        prof = diffsets._orbit_counts(f, X, Y)
+        assert isinstance(prof, list) and (f.q - 1) % len(prof[1]) == 0
+        assert np.array_equal(diffsets._spread(f, prof), naive_cross(f, X, Y))
+    family = [S[S != 0] for S in (X, np.setdiff1d(Y, X))]
+    for mode in ("internal", "external"):
+        counts = diffsets._family_profile(f, *diffsets._validated_family(f, family), mode)
+        assert np.array_equal(diffsets._spread(f, counts), naive_family(f, family, mode))
+
+
+def _one_class_off(field, prof, v):
+    """The support of v in a compact profile of order s, its first class
+    swapped for the first class of order s outside it."""
+    s = len(prof[1])
+    held = np.flatnonzero(prof[1] == v).tolist()
+    return class_union(field, s, [*held[1:], next(c for c in range(s) if c not in held)])
+
+
+@pytest.mark.parametrize("p, m", ORBIT_FIELDS)
+def test_compact_comparison_of_a_candidate_one_class_off(p, m):
+    # a candidate one class off the support of a value of D's compact
+    # profile compares equal in class space exactly when it does by the
+    # naive pair count
+    f = _diff_field(p, m)
+    e = max(e for e in range(2, 9) if (f.q - 1) % e == 0)
+    rng = np.random.default_rng(f.q)
+    for _ in range(6):
+        D = class_union(f, e, np.flatnonzero(rng.random(e) < 0.5))
+        prof = diffsets._delta(f, D)
+        if not isinstance(prof, list):
+            continue
+        for v in {*prof[1].tolist()}:
+            if np.count_nonzero(prof[1] == v) == len(prof[1]):
+                continue
+            cand = _one_class_off(f, prof, v)
+            left = diffsets._add(f, diffsets._delta(f, cand), prof, -1)
+            same = np.array_equal(naive_cross(f, cand, cand), naive_cross(f, D, D))
+            assert (left[0] == 0 and not diffsets._nonzero(left).any()) == same
+
+
+def test_check_skew_pds_rejects_a_recovered_pds_one_class_off(monkeypatch):
+    # R10's D at q = 729, whose profile is compact: the oracle rejects the
+    # PDS it recovers when that is one class off
+    field = build_field(3, 6)
+    (plan,) = get_recipe("R10").plans(field)
+    assert isinstance(diffsets._delta(field, plan.family[0]), list)
+    assert check_skew_pds(field, plan.family[0]).kind == "SkewPDS"
+    monkeypatch.setattr(diffsets, "_support", _one_class_off)
+    assert check_skew_pds(field, plan.family[0]).kind == "None"
+
+
+def test_check_skew_pds_memory_at_q_51529():
+    # R10's D at q = 51529 (|D| = 25764): the orbit profiles stay in class
+    # space, so the tracemalloc peak is the recovered PDS and the checks on
+    # it, about 16 bytes per code; two length-q int64 profiles took it to 38
+    import tracemalloc
+
+    field = build_field(227, 2)
+    (plan,) = get_recipe("R10").plans(field)
+    tracemalloc.start()
+    try:
+        cert = check_skew_pds(field, plan.family[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.kind == "SkewPDS"
+    assert peak / field.q < 20
+
+
+def test_classifiers_leave_the_callers_arrays_unchanged(gf13, gf361):
+    # a sorted int64 set is passed through unsorted and uncopied, any other
+    # is sorted in a copy; neither is written to
+    for f in (gf13, gf361):
+        squares = class_union(f, 2, [0])
+        sets = [squares, squares[::-1].copy(), squares.astype(np.int32), np.concatenate(([0], squares))]
+        for S in sets:
+            given = S.copy()
+            for check in (check_pds, check_skew_pds, check_ads, internal_differences):
+                check(f, S)
+            cross_differences(f, S, S)
+            assert np.array_equal(S, given) and S.dtype == given.dtype
+        assert np.shares_memory(diffsets.as_element_set(f, squares), squares)
+        halves = np.stack([squares[: len(squares) // 2], squares[len(squares) // 2 :]])
+        fam = [halves.copy(), halves[:, ::-1].copy(), list(halves)]
+        for family in fam:
+            given = [np.array(x) for x in family]
+            for mode in ("internal", "external"):
+                check_family(f, family, mode, reference=squares)
+            family_internal(f, family)
+            family_external(f, family)
+            assert all(np.array_equal(a, b) for a, b in zip(family, given))
+
+
 def test_certifying_r10_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma (13-20 ms) on its first call; no
     # classifier on R10's path calls it
@@ -667,6 +769,9 @@ def test_family_array_defects_match_its_rows(data):
         (np.array([-1, 2]), IndexOutOfRange),
         (np.array([2, 5, 2]), DuplicateElement),
         (np.array([9, 3, 1]), None),
+        # already sorted: a repeat is still found, a valid set passes through
+        (np.array([2, 2, 5]), DuplicateElement),
+        (np.array([1, 3, 9]), None),
     ],
 )
 def test_element_set_checked_as_one_row_family(gf13, codes, expect):
